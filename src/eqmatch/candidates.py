@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, MultiplexGraph, Problem, dominates
+from .graphs import Graph, MultiplexGraph, Problem, degree_vector, dominates
 from .equivalence import structurally_equivalent
 
 MatchPairs = list[tuple[int, int]]
@@ -25,29 +25,17 @@ def init_candidates(problem: Problem) -> list[set[int]]:
     legal result and signals unsatisfiability downstream.
     """
     t, w = problem.template, problem.world
-    k = t.channels
-    def degs(g: MultiplexGraph, v: int) -> tuple[list[int], list[int]]:
-        ins, outs = [0] * k, [0] * k
-        for tup in g.inn[v].values():
-            for i, m in enumerate(tup):
-                ins[i] += m
-        for tup in g.out[v].values():
-            for i, m in enumerate(tup):
-                outs[i] += m
-        return ins, outs
-
-    wdegs = [degs(w, c) for c in range(w.vertex_count)]
+    wdegs = [degree_vector(w, c) for c in range(w.vertex_count)]
     csets: list[set[int]] = []
     for u in range(t.vertex_count):
-        tin, tout = degs(t, u)
+        tdeg = degree_vector(t, u)
         lbl = t.label(u)
         cs = set()
         for c in range(w.vertex_count):
             if lbl is not None and w.label(c) != lbl:
                 continue
-            cin, cout = wdegs[c]
-            if all(ci >= ti for ci, ti in zip(cin, tin)) and \
-               all(co >= to for co, to in zip(cout, tout)):
+            if all(ci >= ti and co >= to
+                   for (ci, co), (ti, to) in zip(wdegs[c], tdeg)):
                 cs.add(c)
         csets.append(cs)
     return csets
@@ -132,16 +120,6 @@ def build_candidate_structure(problem: Problem,
                     j = index[(u2, c2)]
                     pg.add_edge(i, j)
     return CandidateStructure(problem, [set(cs) for cs in csets], nodes, index, pg)
-
-
-def candidate_equivalent(structure: CandidateStructure, u: int,
-                         c1: int, c2: int) -> bool:
-    return structure.candidate_equivalent(u, c1, c2)
-
-
-def fully_candidate_equivalent(structure: CandidateStructure,
-                               c1: int, c2: int) -> bool:
-    return structure.fully_candidate_equivalent(c1, c2)
 
 
 def greedy_node_cover(t: MultiplexGraph) -> tuple[int, ...]:

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .graphs import Problem, parse_lad, parse_multiplex_edgelist
-from .candidates import build_candidate_structure, init_candidates
-from .search import ALL_MODES, Mode, solve
+from .candidates import (CandidateStructure, build_candidate_structure,
+                         init_candidates)
+from .search import ALL_MODES, Mode, SolutionClass, solve
 from .reporting import compress, export_dot, induce_subgraph
 
 
@@ -58,8 +59,7 @@ def load_problem(template: Path, world: Path, fmt: str) -> Problem:
     return Problem(t, w)
 
 
-def _pair_graph_dot(problem: Problem) -> str:
-    structure = build_candidate_structure(problem, init_candidates(problem))
+def _pair_graph_dot(structure: CandidateStructure) -> str:
     lines = []
     for i, (u, c) in enumerate(structure.nodes):
         lines.append(f'  n{i} [label="({u},{c})"];')
@@ -75,27 +75,21 @@ def run(cfg: RunConfig, out=None) -> int:
     """Execute one search and print the JSON report; exit status is nonzero
     only for input or contract errors, never for unsatisfiable instances."""
     problem = load_problem(cfg.template, cfg.world, cfg.format)
-    stream = None
-    on_class = None
-    if cfg.solutions is not None:
-        stream = open(cfg.solutions, "w")
-        def on_class(sc):
+    first: list[SolutionClass] = []  # only the first class is drawn
+    stream = None if cfg.solutions is None else open(cfg.solutions, "w")
+    def on_class(sc):
+        if not first:
+            first.append(sc)
+        if stream is not None:
             stream.write(json.dumps(sc.to_json()) + "\n")
     try:
         report, classes = solve(problem, cfg.mode, timeout=cfg.timeout,
                                 max_solutions=cfg.max_solutions,
-                                on_class=on_class, collect=True)
+                                on_class=on_class, collect=cfg.dump_classes)
     finally:
         if stream is not None:
             stream.close()
-    payload = {
-        "representatives": report.representatives,
-        "total": str(report.total),
-        "compression_rate": (None if report.compression_rate is None
-                             else float(report.compression_rate)),
-        "wall_time_s": report.wall_time_s,
-        "status": report.status,
-    }
+    payload = report.to_json()
     if cfg.dump_classes:
         payload["classes"] = [sc.to_json() for sc in classes]
     if cfg.dot is not None:
@@ -106,9 +100,9 @@ def run(cfg: RunConfig, out=None) -> int:
                       f"nodes, above the cap of {cfg.pair_cap}; skipping dump",
                       file=sys.stderr)
             else:
-                Path(cfg.dot).write_text(_pair_graph_dot(problem))
-        elif classes:
-            csg = induce_subgraph(problem.world, classes[0], problem.template)
+                Path(cfg.dot).write_text(_pair_graph_dot(structure))
+        elif first:
+            csg = induce_subgraph(problem.world, first[0], problem.template)
             Path(cfg.dot).write_text(export_dot(compress(csg)))
         else:
             Path(cfg.dot).write_text("digraph G { }")

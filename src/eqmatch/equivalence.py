@@ -136,29 +136,36 @@ def count_factorial_lower_bound(p: Partition) -> int:
     return result
 
 
-def count_tewe(problem: Problem, mapping: dict[int, int],
-               template_partition: Partition, world_partition: Partition) -> int:
-    """Count isomorphisms reachable from ``mapping`` by template/world swaps.
+def interchange_count(pairs) -> int:
+    """Count the maps reachable from one map by template/world swaps.
 
-    With template classes ``C_i`` and world classes ``D_j``, the count is
+    ``pairs`` holds one ``(template class, world class)`` pair of member
+    tuples per template vertex. With template classes ``C_i`` and world
+    classes ``D_j``, the count is
     ``prod_i |C_i|! * prod_j prod_i binom(|D_j| - sum_{k<i} |C_{k,j}|, |C_{i,j}|)``
     where ``C_{i,j}`` collects the members of ``C_i`` mapped into ``D_j``.
+    Only the incidence that occurs is visited.
     """
+    incidence: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    for key in pairs:
+        incidence[key] = incidence.get(key, 0) + 1
+    result = 1
+    for tcls in {tcls for tcls, _ in incidence}:
+        result *= factorial(len(tcls))
+    taken: dict[tuple[int, ...], int] = {}
+    for (_, dcls), k in incidence.items():
+        before = taken.get(dcls, 0)
+        result *= comb(len(dcls) - before, k)
+        taken[dcls] = before + k
+    return result
+
+
+def count_tewe(problem: Problem, mapping: dict[int, int],
+               template_partition: Partition, world_partition: Partition) -> int:
+    """Count isomorphisms reachable from ``mapping`` by template/world swaps
+    (see :func:`interchange_count`)."""
     if not is_subgraph_isomorphism(problem, mapping):
         raise ValueError("mapping is not a subgraph isomorphism")
     tp, wp = template_partition, world_partition
-    incidence: dict[tuple[int, int], int] = {}
-    for v, img in mapping.items():
-        key = (tp.class_of[v], wp.class_of[img])
-        incidence[key] = incidence.get(key, 0) + 1
-    result = 1
-    for cls in tp.classes:
-        result *= factorial(len(cls))
-    for j, dcls in enumerate(wp.classes):
-        taken = 0
-        for i in range(len(tp.classes)):
-            k = incidence.get((i, j), 0)
-            if k:
-                result *= comb(len(dcls) - taken, k)
-                taken += k
-    return result
+    return interchange_count((tp.classes[tp.class_of[v]], wp.classes[wp.class_of[img]])
+                             for v, img in mapping.items())

@@ -1,21 +1,33 @@
 """Equivalence-aware recursive tree search over template-in-world matching.
 
-Seven search modes share one recursion. They differ in how candidates for
-the current template vertex are grouped into interchangeable cells and in
-how an emitted representative is weighted:
+Seven search modes share one recursion. Each mode is one row of
+``_RULES``: whether it interchanges statically equivalent template
+vertices, whether it interchanges statically equivalent world vertices,
+and which dynamic cell builder groups the candidates of the branching
+vertex into interchangeable cells:
 
-* ``ne``   -- plain enumeration, every solution is its own class.
-* ``te``   -- template structural equivalence; sibling branches of an
-  exhausted assignment are pruned for equivalent template vertices.
-* ``we``   -- one representative per static world class.
-* ``tewe`` -- both of the above; pruning removes whole world classes.
-* ``ce``   -- candidate equivalence recomputed per assignment, usable only
-  when a cell's members are candidates of no other unmatched vertex
-  (blocked cells fall back to static world classes, which are always safe).
-* ``fe``   -- full candidate equivalence (with respect to every template
-  vertex), always usable.
-* ``nc``   -- candidate-equivalence search until a greedy node cover of the
-  template is fully matched, then membership-vector grouping.
+* ``ne``   -- no template partition, no world partition, no builder:
+  every solution is its own class.
+* ``te``   -- template partition only.
+* ``we``   -- world partition only.
+* ``tewe`` -- both partitions.
+* ``ce``   -- world partition, builder ``_ce_cells``: candidate
+  equivalence recomputed per assignment, usable only when a cell's members
+  are candidates of no other unmatched vertex (blocked cells fall back to
+  world classes, which are always safe).
+* ``fe``   -- builder ``_fe_cells``: full candidate equivalence (with
+  respect to every template vertex), always usable.
+* ``nc``   -- builder ``_nc_cells``: candidate equivalence until a greedy
+  node cover of the template is fully matched, then membership-vector
+  grouping. The cover is matched first.
+
+Everything else follows from the row. Without a builder the cells are the
+world classes of the candidates (singletons under the trivial partition);
+once a branch is exhausted, its world class is dropped from the candidates
+of the other members of the branching vertex's template class (a no-op
+for singleton classes); an emitted class is weighed by ``count_tewe`` and
+expands as an orbit. With a builder a class weighs the product of its slot
+multipliers and expands slot by slot.
 
 Candidate sets kept during search include already-used world vertices (a
 used vertex stays listed while it remains joinable); this lets recomputed
@@ -31,10 +43,12 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import prod
+from typing import Callable, NamedTuple
 
 from .graphs import MultiplexGraph, Problem, dominates
-from .equivalence import Partition, count_tewe, find_equivalence_classes
-from .candidates import greedy_node_cover, init_candidates
+from .equivalence import (Partition, count_tewe, find_equivalence_classes,
+                          interchange_count)
+from .candidates import greedy_node_cover, init_candidates, joinable
 
 
 class Mode(str, Enum):
@@ -95,7 +109,7 @@ class SearchReport:
     representatives: int
     total: int
     wall_time_s: float
-    status: str  # "completed" | "timed_out"
+    status: str  # "completed" | "timed_out" | "truncated"
 
     @property
     def compression_rate(self) -> Fraction | None:
@@ -115,7 +129,7 @@ class SearchReport:
 
 
 class _Stop(Exception):
-    pass
+    """Unwinds the search; its argument is the report status."""
 
 
 def _template_neighbor_profile(t: MultiplexGraph):
@@ -130,6 +144,52 @@ def _template_neighbor_profile(t: MultiplexGraph):
                               for u2 in sorted(nbrs)))
         selfs.append(t.edge(u, u))
     return profiles, selfs
+
+
+def _filter(problem: Problem, tnbrs, tself, assigned: dict[int, int],
+            jcands: list[set[int]]) -> list[set[int]]:
+    """Joinability plus arc-consistency fixpoint.
+
+    Matched vertices collapse to their assignment; unmatched vertices keep
+    used-but-joinable candidates (they still belong to interchange classes,
+    discounted by the multipliers)."""
+    w = problem.world
+    match = assigned.items()
+    jc: list[set[int]] = []
+    for u, cs in enumerate(jcands):
+        if u in assigned:
+            jc.append({assigned[u]})
+            continue
+        keep = set()
+        selfreq = tself[u]
+        for c in cs:
+            if selfreq is not None and not dominates(w.edge(c, c), selfreq):
+                continue
+            if joinable(problem, u, c, match):
+                keep.add(c)
+        jc.append(keep)
+    changed = True
+    while changed:
+        changed = False
+        for u, cs in enumerate(jc):
+            if not cs:
+                continue
+            drop = [c for c in cs if not _supported(w, tnbrs[u], c, jc)]
+            if drop:
+                cs -= set(drop)
+                changed = True
+    return jc
+
+
+def _supported(w: MultiplexGraph, nbrs, c: int, jc: list[set[int]]) -> bool:
+    for u2, req_out, req_in in nbrs:
+        if req_out is not None and \
+           not any(dominates(w.edge(c, c2), req_out) for c2 in jc[u2]):
+            return False
+        if req_in is not None and \
+           not any(dominates(w.edge(c2, c), req_in) for c2 in jc[u2]):
+            return False
+    return True
 
 
 class _Searcher:
@@ -147,16 +207,17 @@ class _Searcher:
         self.on_class = on_class
         self.collect = collect
 
+        rule = _RULES[mode]
         self.tnbrs, self.tself = _template_neighbor_profile(self.t)
-        self.tp = (find_equivalence_classes(self.t)
-                   if mode in (Mode.TE, Mode.TEWE) else Partition.trivial(self.nt))
-        self.wp = (find_equivalence_classes(self.w)
-                   if mode in (Mode.WE, Mode.TEWE, Mode.CE)
+        self.tp = (find_equivalence_classes(self.t) if rule.template_partition
+                   else Partition.trivial(self.nt))
+        self.wp = (find_equivalence_classes(self.w) if rule.world_partition
                    else Partition.trivial(self.w.vertex_count))
+        self.cells = rule.cells
         self.cover: frozenset[int] = (frozenset(greedy_node_cover(self.t))
-                                      if mode == Mode.NC else frozenset())
+                                      if rule.cells is _Searcher._nc_cells
+                                      else frozenset())
 
-        self.match: list[tuple[int, int]] = []
         self.assigned: dict[int, int] = {}
         self.used: set[int] = set()
         self.slots: list[Slot] = []
@@ -164,75 +225,6 @@ class _Searcher:
         self.total = 0
         self.classes: list[SolutionClass] = []
         self.status = "completed"
-
-    # -- filtering ---------------------------------------------------------
-
-    def _apply_filters(self, jcands: list[set[int]]) -> list[set[int]]:
-        """Joinability plus arc-consistency fixpoint.
-
-        Matched vertices collapse to their assignment; unmatched vertices
-        keep used-but-joinable candidates (they still belong to interchange
-        classes, discounted by the multipliers)."""
-        w = self.w
-        jc: list[set[int]] = []
-        for u, cs in enumerate(jcands):
-            if u in self.assigned:
-                jc.append({self.assigned[u]})
-                continue
-            keep = set()
-            selfreq = self.tself[u]
-            for c in cs:
-                if selfreq is not None and not dominates(w.edge(c, c), selfreq):
-                    continue
-                if self._joinable(u, c):
-                    keep.add(c)
-            jc.append(keep)
-        changed = True
-        while changed:
-            changed = False
-            for u in range(self.nt):
-                if not jc[u]:
-                    continue
-                drop = [c for c in jc[u] if not self._supported(u, c, jc)]
-                if drop:
-                    jc[u] -= set(drop)
-                    changed = True
-        return jc
-
-    def _joinable(self, u: int, c: int) -> bool:
-        t, w = self.t, self.w
-        for v, img in self.match:
-            if v == u:
-                continue
-            req = t.edge(v, u)
-            if req is not None and not dominates(w.edge(img, c), req):
-                return False
-            req = t.edge(u, v)
-            if req is not None and not dominates(w.edge(c, img), req):
-                return False
-        return True
-
-    def _supported(self, u: int, c: int, jc: list[set[int]]) -> bool:
-        w = self.w
-        for u2, req_out, req_in in self.tnbrs[u]:
-            if req_out is not None and \
-               not any(dominates(w.edge(c, c2), req_out) for c2 in jc[u2]):
-                return False
-            if req_in is not None and \
-               not any(dominates(w.edge(c2, c), req_in) for c2 in jc[u2]):
-                return False
-        return True
-
-    # -- vertex ordering ---------------------------------------------------
-
-    def _next_vertex(self, jc: list[set[int]]) -> int:
-        used = self.used
-        def key(u: int):
-            tier = 0
-            if self.mode == Mode.NC:
-                tier = 0 if u in self.cover else 1
-            return (tier, len(jc[u] - used), -self.t.degree(u), u)
-        return min((u for u in range(self.nt) if u not in self.assigned), key=key)
 
     # -- dynamic equivalence ----------------------------------------------
 
@@ -336,6 +328,8 @@ class _Searcher:
         return [sorted(g) for g in groups.values()]
 
     def _nc_cells(self, u: int, jc: list[set[int]]) -> list[list[int]]:
+        if not self.cover <= set(self.assigned):
+            return self._ce_cells(u, jc)
         noncover = [v for v in range(self.nt)
                     if v not in self.cover and v not in self.assigned]
         groups: dict[frozenset[int], list[int]] = {}
@@ -348,26 +342,13 @@ class _Searcher:
 
     def _generate(self, u: int, jc: list[set[int]]):
         """Entries (representative, members, multiplier) for branching on ``u``."""
-        mode = self.mode
         used = self.used
-        if mode in (Mode.NE, Mode.TE):
-            return [(c, (c,), 1) for c in sorted(jc[u] - used)]
-        if mode in (Mode.WE, Mode.TEWE):
-            cells_by_class: dict[int, tuple[int, ...]] = {}
-            for c in jc[u]:
-                idx = self.wp.class_of[c]
-                if idx not in cells_by_class:
-                    cells_by_class[idx] = self.wp.classes[idx]
-            cells = list(cells_by_class.values())
-        elif mode == Mode.CE:
-            cells = self._ce_cells(u, jc)
-        elif mode == Mode.FE:
-            cells = self._fe_cells(u, jc)
-        else:  # NC
-            if self.cover <= set(self.assigned):
-                cells = self._nc_cells(u, jc)
-            else:
-                cells = self._ce_cells(u, jc)
+        if self.cells is None:
+            wp = self.wp
+            cells = {wp.class_of[c]: wp.classes[wp.class_of[c]]
+                     for c in jc[u]}.values()
+        else:
+            cells = self.cells(self, u, jc)
         entries = []
         for members in cells:
             avail = [c for c in members if c in jc[u] and c not in used]
@@ -378,24 +359,14 @@ class _Searcher:
         entries.sort(key=lambda e: e[0])
         return entries
 
-    def _te_prune(self, u: int, rep: int, jc: list[set[int]]) -> None:
-        if self.mode == Mode.TEWE:
-            removal = set(self.wp.classes[self.wp.class_of[rep]])
-        else:
-            removal = {rep}
-        for u2 in self.tp.classes[self.tp.class_of[u]]:
-            if u2 != u and u2 not in self.assigned:
-                jc[u2] -= removal
-
     # -- recursion ---------------------------------------------------------
 
     def _emit(self) -> None:
-        mode = self.mode
-        if mode in (Mode.NE, Mode.TE, Mode.WE, Mode.TEWE):
+        if self.cells is None:
             count = count_tewe(self.problem, dict(self.assigned), self.tp, self.wp)
         else:
             count = prod(s.multiplier for s in self.slots)
-        sc = SolutionClass(mode, tuple(self.slots), count)
+        sc = SolutionClass(self.mode, tuple(self.slots), count)
         self.representatives += 1
         self.total += count
         if self.on_class is not None:
@@ -403,33 +374,35 @@ class _Searcher:
         if self.collect:
             self.classes.append(sc)
         if self.max_solutions is not None and self.representatives >= self.max_solutions:
-            raise _Stop()
+            raise _Stop("truncated")
 
     def _recurse(self, jcands: list[set[int]]) -> None:
         if time.monotonic() >= self.deadline:
-            raise _Stop()
-        if len(self.match) == self.nt:
+            raise _Stop("timed_out")
+        assigned, used = self.assigned, self.used
+        if len(assigned) == self.nt:
             self._emit()
             return
-        jc = self._apply_filters(jcands)
-        used = self.used
-        for u in range(self.nt):
-            if u not in self.assigned and not (jc[u] - used):
-                return
-        u = self._next_vertex(jc)
+        jc = _filter(self.problem, self.tnbrs, self.tself, assigned, jcands)
+        free = [cs - used for cs in jc]
+        if not all(free[v] for v in range(self.nt) if v not in assigned):
+            return
+        u = next_template_vertex(self.problem, free, assigned, self.cover)
+        del free  # one level's copy must not live across the recursion
         tclass = self.tp.classes[self.tp.class_of[u]]
         for rep, members, mult in self._generate(u, jc):
-            self.match.append((u, rep))
-            self.assigned[u] = rep
-            self.used.add(rep)
+            assigned[u] = rep
+            used.add(rep)
             self.slots.append(Slot(u, tclass, rep, members, mult))
             self._recurse(jc)
             self.slots.pop()
-            self.used.discard(rep)
-            del self.assigned[u]
-            self.match.pop()
-            if self.mode in (Mode.TE, Mode.TEWE):
-                self._te_prune(u, rep, jc)
+            used.discard(rep)
+            del assigned[u]
+            # Template-equivalent vertices would only repeat this branch's
+            # classes (a no-op for singleton template classes).
+            for u2 in tclass:
+                if u2 != u and u2 not in assigned:
+                    jc[u2].difference_update(members)
 
     def run(self) -> SearchReport:
         start = time.monotonic()
@@ -439,10 +412,29 @@ class _Searcher:
                 self._emit()
             elif self.nt <= self.w.vertex_count:
                 self._recurse(init_candidates(self.problem))
-        except _Stop:
-            self.status = "timed_out"
+        except _Stop as stop:
+            self.status = stop.args[0]
         return SearchReport(self.representatives, self.total,
                             time.monotonic() - start, self.status)
+
+
+class _Rule(NamedTuple):
+    """How a mode groups candidates into cells and weighs a class."""
+
+    template_partition: bool  # interchange statically equivalent template vertices
+    world_partition: bool     # interchange statically equivalent world vertices
+    cells: Callable | None    # dynamic cell builder; None groups by world class
+
+
+_RULES = {
+    Mode.NE: _Rule(False, False, None),
+    Mode.TE: _Rule(True, False, None),
+    Mode.WE: _Rule(False, True, None),
+    Mode.TEWE: _Rule(True, True, None),
+    Mode.CE: _Rule(False, True, _Searcher._ce_cells),
+    Mode.FE: _Rule(False, False, _Searcher._fe_cells),
+    Mode.NC: _Rule(False, False, _Searcher._nc_cells),
+}
 
 
 def solve(problem: Problem, mode: Mode | str, timeout: float = 600.0,
@@ -465,32 +457,22 @@ def solve(problem: Problem, mode: Mode | str, timeout: float = 600.0,
 def apply_filters(match, csets: list[set[int]], problem: Problem) -> list[set[int]]:
     """Reduced candidate sets: joinable to ``match``, used vertices removed,
     then an arc-consistency fixpoint over template edges."""
-    searcher = _Searcher(problem, Mode.NE, timeout=1.0, max_solutions=None,
-                         on_class=None, collect=False)
-    searcher.match = list(match)
-    searcher.assigned = dict(match)
-    searcher.used = {wv for _, wv in match}
-    jc = searcher._apply_filters([set(cs) for cs in csets])
-    out = []
-    for u, cs in enumerate(jc):
-        if u in searcher.assigned:
-            out.append({searcher.assigned[u]})
-        else:
-            out.append(cs - searcher.used)
-    return out
+    assigned = dict(match)
+    used = set(assigned.values())
+    jc = _filter(problem, *_template_neighbor_profile(problem.template),
+                 assigned, csets)
+    return [cs if u in assigned else cs - used for u, cs in enumerate(jc)]
 
 
 def next_template_vertex(problem: Problem, csets: list[set[int]], matched,
-                         mode: Mode | str = Mode.NE, cover=()) -> int:
-    """The branching vertex: (node-cover tier,) smallest candidate set,
-    ties by max template degree, then lowest index."""
-    mode = Mode(mode)
+                         cover=()) -> int:
+    """The branching vertex: node-cover vertices first, then the smallest
+    candidate set, ties by max template degree, then lowest index."""
     t = problem.template
     matched = set(matched)
     cover = set(cover)
     def key(u: int):
-        tier = (0 if u in cover else 1) if mode == Mode.NC else 0
-        return (tier, len(csets[u]), -t.degree(u), u)
+        return (u not in cover, len(csets[u]), -t.degree(u), u)
     choices = [u for u in range(t.vertex_count) if u not in matched]
     if not choices:
         raise ValueError("no unmatched template vertex")
@@ -500,47 +482,21 @@ def next_template_vertex(problem: Problem, csets: list[set[int]], matched,
 def expansion_count_of(sc: SolutionClass) -> int:
     """Recompute the exact expansion count of ``sc`` from its slots.
 
-    For all modes but ``tewe`` this is the product of slot multipliers,
-    times ``prod |C_i|!`` over template classes when template vertices are
-    interchanged. With both equivalences active the factors interact (two
-    same-class template vertices may land in one world class), so the count
-    follows the per-class binomial product over the slot incidence instead.
+    Modes with a dynamic cell builder multiply the slot multipliers. The
+    static modes apply :func:`~eqmatch.equivalence.interchange_count` to
+    the slots' (template class, world class) incidence.
     """
-    from math import comb, factorial
-
-    if sc.mode != Mode.TEWE:
-        result = prod(s.multiplier for s in sc.slots)
-        if sc.mode == Mode.TE:
-            for tcls in {s.template_class for s in sc.slots}:
-                result *= factorial(len(tcls))
-        return result
-    tclasses = []
-    for s in sc.slots:
-        if s.template_class not in tclasses:
-            tclasses.append(s.template_class)
-    incidence: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    wclasses: dict[tuple[int, ...], None] = {}
-    for s in sc.slots:
-        wclasses.setdefault(s.members, None)
-        key = (s.template_class, s.members)
-        incidence[key] = incidence.get(key, 0) + 1
-    result = prod(factorial(len(t)) for t in tclasses)
-    for wcls in wclasses:
-        taken = 0
-        for tcls in tclasses:
-            k = incidence.get((tcls, wcls), 0)
-            if k:
-                result *= comb(len(wcls) - taken, k)
-                taken += k
-    return result
+    if _RULES[sc.mode].cells is None:
+        return interchange_count((s.template_class, s.members) for s in sc.slots)
+    return prod(s.multiplier for s in sc.slots)
 
 
 def expand_solution_class(sc: SolutionClass):
     """Yield every full mapping represented by ``sc`` (each exactly once)."""
-    if sc.mode in (Mode.CE, Mode.FE, Mode.NC):
-        yield from _expand_slotwise(sc.slots)
-    else:
+    if _RULES[sc.mode].cells is None:
         yield from _expand_orbit(sc.slots)
+    else:
+        yield from _expand_slotwise(sc.slots)
 
 
 def _expand_slotwise(slots, chosen=None, index=0):

@@ -5,8 +5,11 @@ import json
 
 import pytest
 
-from eqmatch.cli import main
+from eqmatch import cli
+from eqmatch.cli import load_problem, main
 from eqmatch.graphs import serialize_multiplex_edgelist
+from eqmatch.reporting import compress, export_dot, induce_subgraph
+from eqmatch.search import Mode, Slot, SolutionClass
 from eqmatch.synth import toy_problem
 
 
@@ -82,6 +85,29 @@ class TestSingleRun:
                              "--mode", "fe", "--dot", str(dot))
         assert code == 0
         assert dot.read_text().startswith("digraph G {")
+
+    def test_dot_of_streamed_first_class(self, capsys, tmp_path, toy_paths,
+                                         monkeypatch):
+        t, w = toy_paths
+        jsonl, dot = tmp_path / "classes.jsonl", tmp_path / "out.dot"
+        collects = []
+        solve = cli.solve
+        def spy(*args, **kwargs):
+            collects.append(kwargs["collect"])
+            return solve(*args, **kwargs)
+        monkeypatch.setattr(cli, "solve", spy)
+        code, _, _ = run_cli(capsys, "--template", t, "--world", w,
+                             "--mode", "fe", "--solutions", str(jsonl),
+                             "--dot", str(dot))
+        assert code == 0
+        assert collects == [False]  # streaming alone holds no classes
+        first = json.loads(jsonl.read_text().splitlines()[0])
+        slots = tuple(Slot(tv, (tv,), members[0], tuple(members), 1)
+                      for tv, members in first["assignments"])
+        sc = SolutionClass(Mode.FE, slots, int(first["count"]))
+        problem = load_problem(t, w, "lad")
+        assert dot.read_text() == export_dot(compress(induce_subgraph(
+            problem.world, sc, problem.template)))
 
     def test_dot_candidate_structure(self, capsys, tmp_path, toy_paths):
         t, w = toy_paths

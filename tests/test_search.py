@@ -5,8 +5,9 @@ import time
 import pytest
 
 from eqmatch.graphs import Graph, Problem
-from eqmatch.search import (ALL_MODES, Mode, expand_solution_class,
-                            expansion_count_of, next_template_vertex, solve)
+from eqmatch.search import (ALL_MODES, Mode, apply_filters,
+                            expand_solution_class, expansion_count_of,
+                            next_template_vertex, solve)
 from eqmatch.candidates import init_candidates
 from eqmatch.synth import (random_problem, star_problem, toy_problem)
 
@@ -97,6 +98,7 @@ class TestExpansion:
                 _, classes = solve(p, mode)
                 seen = set()
                 for sc in classes:
+                    assert expansion_count_of(sc) == sc.count, mode
                     for f in expand_solution_class(sc):
                         key = tuple(sorted(f.items()))
                         assert key not in seen, mode
@@ -153,7 +155,7 @@ class TestLimits:
     def test_max_solutions_truncates(self):
         report, classes = solve(toy_problem(), Mode.NE, max_solutions=5)
         assert len(classes) == 5
-        assert report.status == "timed_out"
+        assert report.status == "truncated"
 
     def test_streaming_callback(self):
         got = []
@@ -181,7 +183,19 @@ class TestNextTemplateVertex:
         p = toy_problem()
         cs = [{0, 3}, {1}, {2}]
         # Vertex 0 is the cover; it precedes the singleton-set leaves.
-        assert next_template_vertex(p, cs, [], mode=Mode.NC, cover=(0,)) == 0
+        assert next_template_vertex(p, cs, [], cover=(0,)) == 0
+
+    def test_search_branches_in_this_order(self, rng):
+        for _ in range(40):
+            p = random_problem(rng, template_size=(3, 5), world_size=(5, 9))
+            _, classes = solve(p, Mode.NE, max_solutions=20)
+            for sc in classes:
+                prefix = [(s.template_vertex, s.world_vertex) for s in sc.slots]
+                for k, slot in enumerate(sc.slots):
+                    cs = apply_filters(prefix[:k], init_candidates(p), p)
+                    matched = [v for v, _ in prefix[:k]]
+                    assert slot.template_vertex == \
+                        next_template_vertex(p, cs, matched)
 
     def test_requires_unmatched_vertex(self):
         p = toy_problem()
