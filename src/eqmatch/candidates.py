@@ -17,12 +17,13 @@ MatchPairs = list[tuple[int, int]]
 
 
 def init_candidates(problem: Problem) -> list[set[int]]:
-    """Initial candidate sets by per-channel degree dominance and label equality.
+    """Initial candidate sets by the unary tests: label, degree, self-loop.
 
     Sound prefilter: a world vertex survives for template vertex ``u`` only
-    if it has at least u's in- and out-degree in every channel (counting
-    multiplicity) and carries u's label when u is labeled. An empty set is a
-    legal result and signals unsatisfiability downstream.
+    if it carries u's label when u is labeled, has at least u's in- and
+    out-degree in every channel (counting multiplicity), and has a self-loop
+    dominating u's when u has one. The search tests only the other edges. An
+    empty set is a legal result and signals unsatisfiability downstream.
     """
     t, w = problem.template, problem.world
     wdegs = [degree_vector(w, c) for c in range(w.vertex_count)]
@@ -30,9 +31,12 @@ def init_candidates(problem: Problem) -> list[set[int]]:
     for u in range(t.vertex_count):
         tdeg = degree_vector(t, u)
         lbl = t.label(u)
+        selfreq = t.edge(u, u)
         cs = set()
         for c in range(w.vertex_count):
             if lbl is not None and w.label(c) != lbl:
+                continue
+            if selfreq is not None and not dominates(w.edge(c, c), selfreq):
                 continue
             if all(ci >= ti and co >= to
                    for (ci, co), (ti, to) in zip(wdegs[c], tdeg)):

@@ -14,6 +14,7 @@ import csv
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -122,7 +123,9 @@ def _suite_entry(args) -> dict:
                 "wall_time_s": f"{report.wall_time_s:.6f}",
                 "status": report.status,
                 "compression_rate": "" if rate is None else f"{float(rate):.6g}"}
-    except (OSError, ValueError) as exc:
+    except Exception as exc:  # one bad instance must not lose the others' rows
+        if not isinstance(exc, (OSError, ValueError)):  # not an input error
+            traceback.print_exc()
         return {"instance": name, "mode": mode.value, "representatives": "",
                 "total": "", "wall_time_s": "", "status": f"error: {exc}",
                 "compression_rate": ""}

@@ -29,6 +29,10 @@ for singleton classes); an emitted class is weighed by ``count_tewe`` and
 expands as an orbit. With a builder a class weighs the product of its slot
 multipliers and expands slot by slot.
 
+One filter prunes the candidates: ``init_candidates`` applies the unary
+tests once, and ``_propagate`` keeps the sets arc consistent, from every
+vertex at the root and from the branching vertex's template class below.
+
 Candidate sets kept during search include already-used world vertices (a
 used vertex stays listed while it remains joinable); this lets recomputed
 cells report the full interchange class, with multipliers discounting the
@@ -48,7 +52,7 @@ from typing import Callable, NamedTuple
 from .graphs import MultiplexGraph, Problem, dominates
 from .equivalence import (Partition, count_tewe, find_equivalence_classes,
                           interchange_count)
-from .candidates import greedy_node_cover, init_candidates, joinable
+from .candidates import greedy_node_cover, init_candidates
 
 
 class Mode(str, Enum):
@@ -146,50 +150,31 @@ def _template_neighbor_profile(t: MultiplexGraph):
     return profiles, selfs
 
 
-def _filter(problem: Problem, tnbrs, tself, assigned: dict[int, int],
-            jcands: list[set[int]]) -> list[set[int]]:
-    """Joinability plus arc-consistency fixpoint.
+def _propagate(w: MultiplexGraph, tnbrs, jc: list[set[int]], changed,
+               deadline: float | None = None) -> None:
+    """Arc consistency, in place, from the vertices in ``changed``.
 
-    Matched vertices collapse to their assignment; unmatched vertices keep
-    used-but-joinable candidates (they still belong to interchange classes,
-    discounted by the multipliers)."""
-    w = problem.world
-    match = assigned.items()
-    jc: list[set[int]] = []
-    for u, cs in enumerate(jcands):
-        if u in assigned:
-            jc.append({assigned[u]})
-            continue
-        keep = set()
-        selfreq = tself[u]
-        for c in cs:
-            if selfreq is not None and not dominates(w.edge(c, c), selfreq):
-                continue
-            if joinable(problem, u, c, match):
-                keep.add(c)
-        jc.append(keep)
-    changed = True
-    while changed:
-        changed = False
-        for u, cs in enumerate(jc):
-            if not cs:
-                continue
-            drop = [c for c in cs if not _supported(w, tnbrs[u], c, jc)]
+    Every other arc must already be consistent. A popped vertex ``x``
+    revises each template neighbour's candidates against ``jc[x]``; a
+    neighbour that loses candidates is queued again. Out- and in-support
+    are independent: each may come from a different candidate of ``x``."""
+    queue = dict.fromkeys(changed)  # an ordered set, popped last-in first
+    while queue:
+        if deadline is not None and time.monotonic() >= deadline:
+            raise _Stop("timed_out")
+        x = queue.popitem()[0]
+        dx = jc[x]
+        for y, req_in, req_out in tnbrs[x]:  # x -> y needs req_in, y -> x req_out
+            drop = [c for c in jc[y]
+                    if (req_out is not None and not any(
+                        c2 in dx and dominates(e, req_out)
+                        for c2, e in w.out[c].items()))
+                    or (req_in is not None and not any(
+                        c2 in dx and dominates(e, req_in)
+                        for c2, e in w.inn[c].items()))]
             if drop:
-                cs -= set(drop)
-                changed = True
-    return jc
-
-
-def _supported(w: MultiplexGraph, nbrs, c: int, jc: list[set[int]]) -> bool:
-    for u2, req_out, req_in in nbrs:
-        if req_out is not None and \
-           not any(dominates(w.edge(c, c2), req_out) for c2 in jc[u2]):
-            return False
-        if req_in is not None and \
-           not any(dominates(w.edge(c2, c), req_in) for c2 in jc[u2]):
-            return False
-    return True
+                jc[y].difference_update(drop)
+                queue[y] = None
 
 
 class _Searcher:
@@ -376,14 +361,14 @@ class _Searcher:
         if self.max_solutions is not None and self.representatives >= self.max_solutions:
             raise _Stop("truncated")
 
-    def _recurse(self, jcands: list[set[int]]) -> None:
+    def _recurse(self, jc: list[set[int]], changed) -> None:
         if time.monotonic() >= self.deadline:
             raise _Stop("timed_out")
         assigned, used = self.assigned, self.used
         if len(assigned) == self.nt:
             self._emit()
             return
-        jc = _filter(self.problem, self.tnbrs, self.tself, assigned, jcands)
+        _propagate(self.w, self.tnbrs, jc, changed, self.deadline)
         free = [cs - used for cs in jc]
         if not all(free[v] for v in range(self.nt) if v not in assigned):
             return
@@ -394,7 +379,9 @@ class _Searcher:
             assigned[u] = rep
             used.add(rep)
             self.slots.append(Slot(u, tclass, rep, members, mult))
-            self._recurse(jc)
+            # The prune below may have shrunk u's template siblings.
+            self._recurse([{rep} if v == u else set(cs)
+                           for v, cs in enumerate(jc)], tclass)
             self.slots.pop()
             used.discard(rep)
             del assigned[u]
@@ -411,7 +398,7 @@ class _Searcher:
                 # The empty map is the unique isomorphism from an empty template.
                 self._emit()
             elif self.nt <= self.w.vertex_count:
-                self._recurse(init_candidates(self.problem))
+                self._recurse(init_candidates(self.problem), range(self.nt))
         except _Stop as stop:
             self.status = stop.args[0]
         return SearchReport(self.representatives, self.total,
@@ -455,12 +442,16 @@ def solve(problem: Problem, mode: Mode | str, timeout: float = 600.0,
 
 
 def apply_filters(match, csets: list[set[int]], problem: Problem) -> list[set[int]]:
-    """Reduced candidate sets: joinable to ``match``, used vertices removed,
-    then an arc-consistency fixpoint over template edges."""
+    """Arc-consistent candidate sets with ``match`` fixed, used vertices
+    removed. ``csets`` must be derived from
+    :func:`~eqmatch.candidates.init_candidates`, which applies the unary
+    tests (label, degree, self-loop); this checks only the binary ones."""
     assigned = dict(match)
+    jc = [{assigned[u]} if u in assigned else set(cs)
+          for u, cs in enumerate(csets)]
+    _propagate(problem.world, _template_neighbor_profile(problem.template)[0],
+               jc, range(len(jc)))
     used = set(assigned.values())
-    jc = _filter(problem, *_template_neighbor_profile(problem.template),
-                 assigned, csets)
     return [cs if u in assigned else cs - used for u, cs in enumerate(jc)]
 
 

@@ -32,6 +32,19 @@ class TestInitCandidates:
         w = Graph(2, labels=["y", "x"])
         assert init_candidates(Problem(t, w))[0] == {1}
 
+    def test_self_loop_filter(self):
+        # Every world vertex has the degrees of a multiplicity-2 self-loop.
+        t = MultiplexGraph(1, 1)
+        t.add_edge(0, 0, 1, 2)
+        w = MultiplexGraph(4, 1)
+        w.add_edge(0, 1, 1, 2)   # 0 and 1: no self-loop
+        w.add_edge(1, 0, 1, 2)
+        w.add_edge(2, 2, 1, 1)   # 2: self-loop too thin
+        w.add_edge(2, 3, 1, 1)
+        w.add_edge(3, 2, 1, 1)
+        w.add_edge(3, 3, 1, 2)   # 3: dominates
+        assert init_candidates(Problem(t, w))[0] == {3}
+
     def test_empty_set_allowed(self):
         t = Graph(2)
         t.add_edge(0, 1)

@@ -204,6 +204,39 @@ class TestSuite:
         assert all(r["status"].startswith("error") for r in ghost)
         assert any(r["instance"] == "toy" and r["total"] == "18" for r in rows)
 
+    def test_unexpected_error_keeps_other_rows(self, capsys, tmp_path,
+                                               data_dir, monkeypatch):
+        # ``solve`` fails on the edgeless template only.
+        bad_template = tmp_path / "bad_template.lad"
+        bad_template.write_text("3\n0\n0\n0\n")
+        real_solve = cli.solve
+
+        def solve(problem, *args, **kwargs):
+            if problem.template.edge_count() == 0:
+                raise RuntimeError("boom")
+            return real_solve(problem, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve", solve)
+        manifest = self.write_manifest(tmp_path, [
+            {"name": "bad", "template": str(bad_template),
+             "world": "fan_world.lad", "format": "lad"},
+            {"name": "toy", "template": "fan_template.lad",
+             "world": "fan_world.lad", "format": "lad"}])
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, "--suite", str(data_dir),
+                               "--manifest", str(manifest), "--out", str(out),
+                               "--modes", "ne,fe", "--jobs", "1")
+        assert code == 0
+        assert err.count("RuntimeError: boom") == 2  # tracebacks kept
+        rows = list(csv.DictReader(open(out)))
+        bad = [r for r in rows if r["instance"] == "bad"]
+        toy = [r for r in rows if r["instance"] == "toy"]
+        aggs = [r for r in rows if r["instance"] == "__aggregate__"]
+        assert [r["status"] for r in bad] == ["error: boom"] * 2
+        assert [r["total"] for r in toy] == ["18", "18"]
+        assert [r["mode"] for r in aggs] == ["ne", "fe"]
+        assert all(r["fully_enumerated_proportion"] == "1" for r in aggs)
+
     def test_mode_subset(self, capsys, tmp_path, data_dir):
         manifest = self.write_manifest(tmp_path, [
             {"name": "toy", "template": "fan_template.lad",

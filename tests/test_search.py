@@ -8,7 +8,7 @@ from eqmatch.graphs import Graph, Problem
 from eqmatch.search import (ALL_MODES, Mode, apply_filters,
                             expand_solution_class, expansion_count_of,
                             next_template_vertex, solve)
-from eqmatch.candidates import init_candidates
+from eqmatch.candidates import greedy_node_cover, init_candidates
 from eqmatch.synth import (random_problem, star_problem, toy_problem)
 
 from oracles import brute_force_count, brute_force_solutions, verify_mapping
@@ -146,6 +146,17 @@ class TestLimits:
         assert report.total <= full.total
         assert report.representatives <= full.total
 
+    def test_timeout_inside_one_node(self):
+        # The root's arc consistency on a long path is one expensive node.
+        path = Graph(200)
+        for v in range(199):
+            path.add_edge(v, v + 1)
+        start = time.monotonic()
+        report, _ = solve(Problem(path, path), Mode.NE, timeout=0.5,
+                          collect=False)
+        assert report.status == "timed_out"
+        assert time.monotonic() - start <= 1.0
+
     def test_partial_counts_monotone_in_timeout(self):
         p = star_problem(7, 18)
         totals = [solve(p, Mode.NE, timeout=t, collect=False)[0].total
@@ -185,17 +196,23 @@ class TestNextTemplateVertex:
         # Vertex 0 is the cover; it precedes the singleton-set leaves.
         assert next_template_vertex(p, cs, [], cover=(0,)) == 0
 
-    def test_search_branches_in_this_order(self, rng):
+    # Modes with a trivial template partition: each node's candidate sets
+    # are the fixpoint of its prefix, so a missed propagation seed would
+    # show up as a different branching vertex.
+    @pytest.mark.parametrize("mode", [Mode.NE, Mode.WE, Mode.CE, Mode.FE,
+                                      Mode.NC])
+    def test_search_branches_in_this_order(self, rng, mode):
         for _ in range(40):
             p = random_problem(rng, template_size=(3, 5), world_size=(5, 9))
-            _, classes = solve(p, Mode.NE, max_solutions=20)
+            cover = greedy_node_cover(p.template) if mode is Mode.NC else ()
+            _, classes = solve(p, mode, max_solutions=20)
             for sc in classes:
                 prefix = [(s.template_vertex, s.world_vertex) for s in sc.slots]
                 for k, slot in enumerate(sc.slots):
                     cs = apply_filters(prefix[:k], init_candidates(p), p)
                     matched = [v for v, _ in prefix[:k]]
                     assert slot.template_vertex == \
-                        next_template_vertex(p, cs, matched)
+                        next_template_vertex(p, cs, matched, cover)
 
     def test_requires_unmatched_vertex(self):
         p = toy_problem()
