@@ -10,7 +10,7 @@ from .equivalence import (Partition, count_factorial_lower_bound, count_tewe,
                           find_equivalence_classes, structurally_equivalent)
 from .candidates import (CandidateStructure, build_candidate_structure,
                          greedy_node_cover, init_candidates, is_node_cover,
-                         joinable, joinable_sets, node_cover_equivalent)
+                         node_cover_equivalent)
 from .search import (ALL_MODES, Mode, SearchReport, Slot, SolutionClass,
                      apply_filters, expand_solution_class, expansion_count_of,
                      next_template_vertex, solve)
@@ -27,8 +27,7 @@ __all__ = [
     "Partition", "count_factorial_lower_bound", "count_tewe",
     "find_equivalence_classes", "structurally_equivalent",
     "CandidateStructure", "build_candidate_structure", "greedy_node_cover",
-    "init_candidates", "is_node_cover", "joinable", "joinable_sets",
-    "node_cover_equivalent",
+    "init_candidates", "is_node_cover", "node_cover_equivalent",
     "ALL_MODES", "Mode", "SearchReport", "Slot", "SolutionClass",
     "apply_filters", "expand_solution_class", "expansion_count_of",
     "next_template_vertex", "solve",

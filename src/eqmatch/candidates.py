@@ -24,52 +24,24 @@ def init_candidates(problem: Problem) -> list[set[int]]:
     out-degree in every channel (counting multiplicity), and has a self-loop
     dominating u's when u has one. The search tests only the other edges. An
     empty set is a legal result and signals unsatisfiability downstream.
+    The tests run once per distinct (label, degrees, self-loop) profile.
     """
     t, w = problem.template, problem.world
     wdegs = [degree_vector(w, c) for c in range(w.vertex_count)]
+    by_profile: dict[tuple, set[int]] = {}
     csets: list[set[int]] = []
     for u in range(t.vertex_count):
-        tdeg = degree_vector(t, u)
-        lbl = t.label(u)
-        selfreq = t.edge(u, u)
-        cs = set()
-        for c in range(w.vertex_count):
-            if lbl is not None and w.label(c) != lbl:
-                continue
-            if selfreq is not None and not dominates(w.edge(c, c), selfreq):
-                continue
-            if all(ci >= ti and co >= to
-                   for (ci, co), (ti, to) in zip(wdegs[c], tdeg)):
-                cs.add(c)
-        csets.append(cs)
+        profile = (t.label(u), tuple(degree_vector(t, u)), t.edge(u, u))
+        if profile not in by_profile:
+            lbl, tdeg, selfreq = profile
+            by_profile[profile] = {
+                c for c in range(w.vertex_count)
+                if (lbl is None or w.label(c) == lbl)
+                and (selfreq is None or dominates(w.edge(c, c), selfreq))
+                and all(ci >= ti and co >= to
+                        for (ci, co), (ti, to) in zip(wdegs[c], tdeg))}
+        csets.append(set(by_profile[profile]))
     return csets
-
-
-def joinable(problem: Problem, u: int, c: int, match: MatchPairs) -> bool:
-    """True iff assigning ``u -> c`` violates no edge constraint from ``match``.
-
-    Every template edge between ``u`` and a matched vertex must be supported
-    (per-channel multiplicity dominance) by the corresponding world edge.
-    Pairs of ``match`` whose template vertex is ``u`` itself are skipped.
-    """
-    t, w = problem.template, problem.world
-    for v, img in match:
-        if v == u:
-            continue
-        req = t.edge(v, u)
-        if req is not None and not dominates(w.edge(img, c), req):
-            return False
-        req = t.edge(u, v)
-        if req is not None and not dominates(w.edge(c, img), req):
-            return False
-    return True
-
-
-def joinable_sets(problem: Problem, csets: list[set[int]],
-                  match: MatchPairs) -> list[set[int]]:
-    """Reduce every candidate set to the vertices joinable to ``match``."""
-    return [{c for c in cs if joinable(problem, u, c, match)}
-            for u, cs in enumerate(csets)]
 
 
 @dataclass
@@ -155,8 +127,9 @@ def node_cover_equivalent(csets: list[set[int]], cover, match: MatchPairs,
                           w1: int, w2: int) -> bool:
     """Node-cover equivalence: identical candidate membership outside the cover.
 
-    ``csets`` must already be reduced to the vertices joinable to ``match``,
-    and ``match`` must assign every cover vertex (contract error otherwise).
+    ``csets`` must be derived with :func:`~eqmatch.search.apply_filters`
+    from ``match``, and ``match`` must assign every cover vertex (contract
+    error otherwise).
     """
     matched = {v for v, _ in match}
     missing = set(cover) - matched

@@ -116,19 +116,11 @@ def _suite_entry(args) -> dict:
     try:
         problem = load_problem(template, world, fmt)
         report, _ = solve(problem, mode, timeout=timeout, collect=False)
-        rate = report.compression_rate
-        return {"instance": name, "mode": mode.value,
-                "representatives": report.representatives,
-                "total": str(report.total),
-                "wall_time_s": f"{report.wall_time_s:.6f}",
-                "status": report.status,
-                "compression_rate": "" if rate is None else f"{float(rate):.6g}"}
+        return {"instance": name, "mode": mode.value, **report.to_json()}
     except Exception as exc:  # one bad instance must not lose the others' rows
         if not isinstance(exc, (OSError, ValueError)):  # not an input error
             traceback.print_exc()
-        return {"instance": name, "mode": mode.value, "representatives": "",
-                "total": "", "wall_time_s": "", "status": f"error: {exc}",
-                "compression_rate": ""}
+        return {"instance": name, "mode": mode.value, "status": f"error: {exc}"}
 
 
 _FIELDS = ["instance", "mode", "representatives", "total", "wall_time_s",
@@ -166,8 +158,8 @@ def run_suite(suite_dir: Path, manifest: Path, out_csv: Path,
             if not mrows:
                 continue
             done = sum(1 for r in mrows if r["status"] == "completed")
-            rates = [float(r["compression_rate"]) for r in mrows
-                     if r["compression_rate"] != ""]
+            rates = [r["compression_rate"] for r in mrows
+                     if r["compression_rate"] is not None]
             writer.writerow({
                 "instance": "__aggregate__", "mode": Mode(mode).value,
                 "fully_enumerated_proportion": f"{done / len(mrows):.6g}",

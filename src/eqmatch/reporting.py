@@ -127,8 +127,9 @@ def venn_summary(csets: list[set[int]], cover, match) -> VennSummary:
     """Group candidate world vertices by their membership pattern across
     non-cover template vertices.
 
-    ``csets`` must already be reduced to joinable candidates and ``match``
-    must assign every cover vertex (contract error otherwise).
+    ``csets`` must be derived with :func:`~eqmatch.search.apply_filters`
+    from ``match``, and ``match`` must assign every cover vertex (contract
+    error otherwise).
     """
     matched = {u for u, _ in match}
     missing = set(cover) - matched

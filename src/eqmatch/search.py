@@ -22,12 +22,18 @@ vertex into interchangeable cells:
   grouping. The cover is matched first.
 
 Everything else follows from the row. Without a builder the cells are the
-world classes of the candidates (singletons under the trivial partition);
-once a branch is exhausted, its world class is dropped from the candidates
-of the other members of the branching vertex's template class (a no-op
-for singleton classes); an emitted class is weighed by ``count_tewe`` and
-expands as an orbit. With a builder a class weighs the product of its slot
-multipliers and expands slot by slot.
+world classes of the candidates (singletons under the trivial partition),
+and once a branch is exhausted, its world class is dropped from the
+candidates of the other members of the branching vertex's template class
+(a no-op for singleton classes).
+
+A solution class has one path. ``_Searcher._recurse`` yields it, weighed
+when it is created (``_weigh``: the static interchange count without a
+builder, the product of slot multipliers with one); ``solve`` alone counts,
+streams, collects and stops; and ``expand_solution_class`` expands every
+mode by one quota recursion over the slots. The search emits only valid
+maps (injective, unary-feasible, arc consistent with every matched
+neighbour), so nothing re-verifies them.
 
 One filter prunes the candidates: ``init_candidates`` applies the unary
 tests once, and ``_propagate`` keeps the sets arc consistent, from every
@@ -42,16 +48,15 @@ members consumed by earlier assignments.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, permutations
 from math import prod
 from typing import Callable, NamedTuple
 
 from .graphs import MultiplexGraph, Problem, dominates
-from .equivalence import (Partition, count_tewe, find_equivalence_classes,
-                          interchange_count)
+from .equivalence import Partition, find_equivalence_classes, interchange_count
 from .candidates import greedy_node_cover, init_candidates
 
 
@@ -133,7 +138,7 @@ class SearchReport:
 
 
 class _Stop(Exception):
-    """Unwinds the search; its argument is the report status."""
+    """Unwinds the search at the deadline."""
 
 
 def _template_neighbor_profile(t: MultiplexGraph):
@@ -161,7 +166,7 @@ def _propagate(w: MultiplexGraph, tnbrs, jc: list[set[int]], changed,
     queue = dict.fromkeys(changed)  # an ordered set, popped last-in first
     while queue:
         if deadline is not None and time.monotonic() >= deadline:
-            raise _Stop("timed_out")
+            raise _Stop
         x = queue.popitem()[0]
         dx = jc[x]
         for y, req_in, req_out in tnbrs[x]:  # x -> y needs req_in, y -> x req_out
@@ -178,19 +183,13 @@ def _propagate(w: MultiplexGraph, tnbrs, jc: list[set[int]], changed,
 
 
 class _Searcher:
-    def __init__(self, problem: Problem, mode: Mode, timeout: float,
-                 max_solutions: int | None, on_class, collect: bool):
-        if timeout <= 0:
-            raise ValueError("timeout must be positive")
+    def __init__(self, problem: Problem, mode: Mode, deadline: float):
         self.problem = problem
         self.t = problem.template
         self.w = problem.world
         self.nt = self.t.vertex_count
         self.mode = mode
-        self.deadline = time.monotonic() + timeout
-        self.max_solutions = max_solutions
-        self.on_class = on_class
-        self.collect = collect
+        self.deadline = deadline
 
         rule = _RULES[mode]
         self.tnbrs, self.tself = _template_neighbor_profile(self.t)
@@ -206,10 +205,6 @@ class _Searcher:
         self.assigned: dict[int, int] = {}
         self.used: set[int] = set()
         self.slots: list[Slot] = []
-        self.representatives = 0
-        self.total = 0
-        self.classes: list[SolutionClass] = []
-        self.status = "completed"
 
     # -- dynamic equivalence ----------------------------------------------
 
@@ -225,49 +220,29 @@ class _Searcher:
                     c2 for c2 in jc[u2] if dominates(w.edge(c2, c), req_in)))
         return tuple(parts)
 
-    def _pair_equivalent(self, uprime: int, c1: int, c2: int,
-                         jc: list[set[int]]) -> bool:
-        """Literal pair-node structural equivalence, for templates with
-        self-loops where the signature shortcut does not apply."""
-        w = self.w
-        pair = {(uprime, c1), (uprime, c2)}
-        nbrs = list(self.tnbrs[uprime])
-        selfreq = self.tself[uprime]
-        if selfreq is not None:
-            nbrs = nbrs + [(uprime, selfreq, selfreq)]
-        for u2, req_out, req_in in nbrs:
-            for c3 in jc[u2]:
-                if (u2, c3) in pair:
-                    continue
-                if req_out is not None and \
-                   dominates(w.edge(c1, c3), req_out) != dominates(w.edge(c2, c3), req_out):
-                    return False
-                if req_in is not None and \
-                   dominates(w.edge(c3, c1), req_in) != dominates(w.edge(c3, c2), req_in):
-                    return False
-        if selfreq is not None:
-            if dominates(w.edge(c1, c2), selfreq) != dominates(w.edge(c2, c1), selfreq):
-                return False
-            if dominates(w.edge(c1, c1), selfreq) != dominates(w.edge(c2, c2), selfreq):
-                return False
-        return True
-
     def _labels_wrt(self, uprime: int, universe, jc: list[set[int]]) -> dict[int, object]:
         """Equivalence-class labels, with respect to ``uprime``, for every
-        candidate in ``universe`` (which must lie inside ``jc[uprime]``)."""
-        if self.tself[uprime] is None:
-            return {c: (1, self._sig(uprime, c, jc)) for c in universe}
-        reps: list[int] = []
-        labels: dict[int, object] = {}
-        for c in sorted(universe):
-            for i, r in enumerate(reps):
-                if self._pair_equivalent(uprime, r, c, jc):
-                    labels[c] = (2, i)
-                    break
-            else:
-                labels[c] = (2, len(reps))
-                reps.append(c)
-        return labels
+        candidate in ``universe`` (which must lie inside ``jc[uprime]``).
+
+        Two candidates are equivalent when they agree on every other layer
+        and, in ``uprime``'s own layer (its self-loop), have equal open
+        neighbourhoods (no edge between them) or equal closed ones (edges
+        both ways). A candidate whose closed signature no other candidate
+        shares is labelled by its open one."""
+        selfreq = self.tself[uprime]
+        if selfreq is None:
+            return {c: self._sig(uprime, c, jc) for c in universe}
+        w, own = self.w, jc[uprime]
+        sigs = {}
+        for c in universe:
+            outs = frozenset(c2 for c2 in own if dominates(w.edge(c, c2), selfreq))
+            ins = frozenset(c2 for c2 in own if dominates(w.edge(c2, c), selfreq))
+            rest = (self._sig(uprime, c, jc), c in outs)
+            sigs[c] = ((True, rest, outs | {c}, ins | {c}),
+                       (False, rest, outs - {c}, ins - {c}))
+        shared = Counter(closed for closed, _ in sigs.values())
+        return {c: closed if shared[closed] > 1 else opened
+                for c, (closed, opened) in sigs.items()}
 
     def _ce_cells(self, u: int, jc: list[set[int]]) -> list[list[int]]:
         labels = self._labels_wrt(u, jc[u], jc)
@@ -346,27 +321,14 @@ class _Searcher:
 
     # -- recursion ---------------------------------------------------------
 
-    def _emit(self) -> None:
-        if self.cells is None:
-            count = count_tewe(self.problem, dict(self.assigned), self.tp, self.wp)
-        else:
-            count = prod(s.multiplier for s in self.slots)
-        sc = SolutionClass(self.mode, tuple(self.slots), count)
-        self.representatives += 1
-        self.total += count
-        if self.on_class is not None:
-            self.on_class(sc)
-        if self.collect:
-            self.classes.append(sc)
-        if self.max_solutions is not None and self.representatives >= self.max_solutions:
-            raise _Stop("truncated")
-
-    def _recurse(self, jc: list[set[int]], changed) -> None:
+    def _recurse(self, jc: list[set[int]], changed):
+        """Yield the solution classes below the current partial map."""
         if time.monotonic() >= self.deadline:
-            raise _Stop("timed_out")
+            raise _Stop
         assigned, used = self.assigned, self.used
         if len(assigned) == self.nt:
-            self._emit()
+            slots = tuple(self.slots)
+            yield SolutionClass(self.mode, slots, _weigh(self.mode, slots))
             return
         _propagate(self.w, self.tnbrs, jc, changed, self.deadline)
         free = [cs - used for cs in jc]
@@ -380,8 +342,8 @@ class _Searcher:
             used.add(rep)
             self.slots.append(Slot(u, tclass, rep, members, mult))
             # The prune below may have shrunk u's template siblings.
-            self._recurse([{rep} if v == u else set(cs)
-                           for v, cs in enumerate(jc)], tclass)
+            yield from self._recurse([{rep} if v == u else set(cs)
+                                      for v, cs in enumerate(jc)], tclass)
             self.slots.pop()
             used.discard(rep)
             del assigned[u]
@@ -390,19 +352,6 @@ class _Searcher:
             for u2 in tclass:
                 if u2 != u and u2 not in assigned:
                     jc[u2].difference_update(members)
-
-    def run(self) -> SearchReport:
-        start = time.monotonic()
-        try:
-            if self.nt == 0:
-                # The empty map is the unique isomorphism from an empty template.
-                self._emit()
-            elif self.nt <= self.w.vertex_count:
-                self._recurse(init_candidates(self.problem), range(self.nt))
-        except _Stop as stop:
-            self.status = stop.args[0]
-        return SearchReport(self.representatives, self.total,
-                            time.monotonic() - start, self.status)
 
 
 class _Rule(NamedTuple):
@@ -435,10 +384,31 @@ def solve(problem: Problem, mode: Mode | str, timeout: float = 600.0,
     and the classes are disjoint and jointly exhaustive; after a timeout or
     a ``max_solutions`` stop the counts are lower bounds.
     """
-    searcher = _Searcher(problem, Mode(mode), timeout, max_solutions,
-                         on_class, collect)
-    report = searcher.run()
-    return report, searcher.classes
+    if timeout <= 0:
+        raise ValueError("timeout must be positive")
+    start = time.monotonic()
+    searcher = _Searcher(problem, Mode(mode), start + timeout)
+    nt = problem.template.vertex_count
+    representatives = total = 0
+    classes: list[SolutionClass] = []
+    status = "completed"
+    try:
+        if nt <= problem.world.vertex_count:
+            for sc in searcher._recurse(init_candidates(problem), range(nt)):
+                representatives += 1
+                total += sc.count
+                if on_class is not None:
+                    on_class(sc)
+                if collect:
+                    classes.append(sc)
+                if max_solutions is not None and representatives >= max_solutions:
+                    status = "truncated"
+                    break
+    except _Stop:
+        status = "timed_out"
+    report = SearchReport(representatives, total, time.monotonic() - start,
+                          status)
+    return report, classes
 
 
 def apply_filters(match, csets: list[set[int]], problem: Problem) -> list[set[int]]:
@@ -470,6 +440,13 @@ def next_template_vertex(problem: Problem, csets: list[set[int]], matched,
     return min(choices, key=key)
 
 
+def _weigh(mode: Mode, slots) -> int:
+    """The count of a class with these slots (see :func:`expansion_count_of`)."""
+    if _RULES[mode].cells is None:
+        return interchange_count((s.template_class, s.members) for s in slots)
+    return prod(s.multiplier for s in slots)
+
+
 def expansion_count_of(sc: SolutionClass) -> int:
     """Recompute the exact expansion count of ``sc`` from its slots.
 
@@ -477,72 +454,61 @@ def expansion_count_of(sc: SolutionClass) -> int:
     static modes apply :func:`~eqmatch.equivalence.interchange_count` to
     the slots' (template class, world class) incidence.
     """
-    if _RULES[sc.mode].cells is None:
-        return interchange_count((s.template_class, s.members) for s in sc.slots)
-    return prod(s.multiplier for s in sc.slots)
+    return _weigh(sc.mode, sc.slots)
 
 
 def expand_solution_class(sc: SolutionClass):
-    """Yield every full mapping represented by ``sc`` (each exactly once)."""
-    if _RULES[sc.mode].cells is None:
-        yield from _expand_orbit(sc.slots)
-    else:
-        yield from _expand_slotwise(sc.slots)
+    """Yield every full mapping represented by ``sc`` (each exactly once).
 
-
-def _expand_slotwise(slots, chosen=None, index=0):
-    chosen = chosen or {}
-    if index == len(slots):
-        yield dict(chosen)
-        return
-    s = slots[index]
-    for c in s.members:
-        if c not in chosen.values():
-            chosen[s.template_vertex] = c
-            yield from _expand_slotwise(slots, chosen, index + 1)
-            del chosen[s.template_vertex]
-
-
-def _expand_orbit(slots):
-    """Expansion for the static modes: all maps preserving the per
-    (template class, world class) incidence counts of the representative."""
-    tclasses: dict[tuple[int, ...], list[Slot]] = {}
+    The slots are filled in order. A template vertex takes an unused member
+    of any cell that its template class maps into, each cell as often as
+    the representative fills it from that class (its quota). The search
+    built every later cell given the representative's image ``r``, so
+    taking ``c`` from the vertex's own cell instead composes the world swap
+    ``(r c)``, and later cells are read through the swaps made so far.
+    """
+    slots = sc.slots
+    quota: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     for s in slots:
-        tclasses.setdefault(s.template_class, []).append(s)
-    order = list(tclasses.items())
+        key = (s.template_class, s.members)
+        quota[key] = quota.get(key, 0) + 1
+    options = [[(key, key[1] == s.members) for key in quota
+                if key[0] == s.template_class] for s in slots]
+    image: dict[int, int] = {}   # representative's world -> current world
+    source: dict[int, int] = {}  # the inverse; both default to the identity
+    taken: set[int] = set()
+    mapping: dict[int, int] = {}
 
-    def rec(i: int, taken: frozenset[int], images: list[tuple[tuple[int, ...], list[int]]]):
-        if i == len(order):
-            # assign members of each template class to its image set in all orders
-            def assign(j: int, acc: dict[int, int]):
-                if j == len(images):
-                    yield dict(acc)
-                    return
-                tcls, img = images[j]
-                for perm in permutations(img):
-                    for v, c in zip(tcls, perm):
-                        acc[v] = c
-                    yield from assign(j + 1, acc)
-                    for v in tcls:
-                        del acc[v]
-            yield from assign(0, {})
+    def swap(r: int, c: int) -> None:
+        """Compose ``(r c)``: whatever maps to ``r`` now maps to ``c``, and
+        the reverse. Applying it twice undoes it."""
+        a, b = source.get(r, r), source.get(c, c)
+        image[a], image[b] = c, r
+        source[c], source[r] = a, b
+
+    def fill(i: int):
+        if i == len(slots):
+            yield dict(mapping)
             return
-        tcls, cls_slots = order[i]
-        # group this class's slots by world class
-        wcells: dict[tuple[int, ...], int] = {}
-        for s in cls_slots:
-            wcells[s.members] = wcells.get(s.members, 0) + 1
-        cells = list(wcells.items())
+        s = slots[i]
+        r = image.get(s.world_vertex, s.world_vertex)
+        for key, own in options[i]:
+            if not quota[key]:
+                continue
+            quota[key] -= 1
+            for m in key[1]:
+                c = image.get(m, m)
+                if c in taken:
+                    continue
+                moved = own and c != r
+                if moved:
+                    swap(r, c)
+                taken.add(c)
+                mapping[s.template_vertex] = c
+                yield from fill(i + 1)
+                taken.discard(c)
+                if moved:
+                    swap(r, c)
+            quota[key] += 1
 
-        def choose(k: int, taken2: frozenset[int], picked: list[int]):
-            if k == len(cells):
-                yield from rec(i + 1, taken2, images + [(tcls, picked)])
-                return
-            members, need = cells[k]
-            avail = [c for c in members if c not in taken2]
-            for subset in combinations(avail, need):
-                yield from choose(k + 1, taken2 | frozenset(subset),
-                                  picked + list(subset))
-        yield from choose(0, taken, [])
-
-    yield from rec(0, frozenset(), [])
+    yield from fill(0)

@@ -3,8 +3,8 @@
 import pytest
 
 from eqmatch.candidates import (build_candidate_structure, greedy_node_cover,
-                                init_candidates, is_node_cover, joinable,
-                                joinable_sets, node_cover_equivalent)
+                                init_candidates, is_node_cover,
+                                node_cover_equivalent)
 from eqmatch.graphs import Graph, MultiplexGraph, Problem
 from eqmatch.search import apply_filters
 from eqmatch.synth import cover_problem, toy_problem
@@ -51,30 +51,15 @@ class TestInitCandidates:
         assert init_candidates(Problem(t, Graph(3)))[0] == set()
 
 
-class TestJoinable:
-    def test_edge_constraints(self):
-        p = toy_problem()
-        assert joinable(p, 1, 2, [(0, 0)])      # world edge 0->2 exists
-        assert not joinable(p, 1, 5, [(0, 0)])  # no world edge 0->5
-        assert joinable(p, 1, 5, [(0, 3)])
-
-    def test_own_pair_skipped(self):
-        p = toy_problem()
-        assert joinable(p, 0, 3, [(0, 0)])
-
-    def test_joinable_sets(self):
-        p = toy_problem()
-        cs = joinable_sets(p, init_candidates(p), [(0, 0)])
-        assert cs[1] == {1, 2, 3, 4}
-        assert cs[2] == {1, 2, 3, 4}
-
-
 class TestApplyFilters:
     def test_toy_reduction(self):
         p = toy_problem()
         cs = apply_filters([(0, 0)], init_candidates(p), p)
         assert cs[0] == {0}
         assert cs[1] == {1, 2, 3, 4}
+        cs = apply_filters([(0, 3)], init_candidates(p), p)
+        assert cs[0] == {3}
+        assert cs[1] == {4, 5, 6}
 
     def test_arc_consistency_prunes_unsupported(self):
         # Template path 0->1->2; world path 0->1 plus isolated 2: vertex 2

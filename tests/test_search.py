@@ -5,11 +5,13 @@ import time
 import pytest
 
 from eqmatch.graphs import Graph, Problem
-from eqmatch.search import (ALL_MODES, Mode, apply_filters,
+from eqmatch.search import (ALL_MODES, Mode, _Searcher, apply_filters,
                             expand_solution_class, expansion_count_of,
                             next_template_vertex, solve)
-from eqmatch.candidates import greedy_node_cover, init_candidates
-from eqmatch.synth import (random_problem, star_problem, toy_problem)
+from eqmatch.candidates import (build_candidate_structure, greedy_node_cover,
+                                init_candidates)
+from eqmatch.synth import (cover_problem, random_problem, star_problem,
+                           toy_problem)
 
 from oracles import brute_force_count, brute_force_solutions, verify_mapping
 
@@ -55,9 +57,11 @@ class TestModeAgreement:
                                planted=i % 5 != 4)
             expect = brute_force_count(p)
             for mode in ALL_MODES:
-                report, _ = solve(p, mode, timeout=30, collect=False)
+                report, classes = solve(p, mode, timeout=30)
                 assert report.status == "completed"
                 assert report.total == expect, (i, mode)
+                # The search emits representatives without re-verifying them.
+                assert all(verify_mapping(p, sc.mapping()) for sc in classes)
 
     def test_representative_ordering(self, rng):
         for _ in range(40):
@@ -69,23 +73,34 @@ class TestModeAgreement:
             assert reps[Mode.TEWE] <= reps[Mode.WE] <= reps[Mode.NE]
 
 
+def check_expansions(p, mode, total):
+    """Every class expands to exactly its count of distinct verified maps,
+    disjoint from the other classes', ``total`` in all."""
+    _, classes = solve(p, mode)
+    seen = set()
+    for sc in classes:
+        assert expansion_count_of(sc) == sc.count
+        expanded = 0
+        for f in expand_solution_class(sc):
+            expanded += 1
+            key = tuple(sorted(f.items()))
+            assert key not in seen
+            seen.add(key)
+            assert verify_mapping(p, f)
+        assert expanded == sc.count
+    assert len(seen) == total
+
+
 class TestExpansion:
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_toy_expansions_exact_disjoint_verified(self, mode):
-        p = toy_problem()
-        _, classes = solve(p, mode)
-        seen = set()
-        for sc in classes:
-            assert expansion_count_of(sc) == sc.count
-            expanded = 0
-            for f in expand_solution_class(sc):
-                expanded += 1
-                key = tuple(sorted(f.items()))
-                assert key not in seen
-                seen.add(key)
-                assert verify_mapping(p, f)
-            assert expanded == sc.count
-        assert len(seen) == 18
+        check_expansions(toy_problem(), mode, 18)
+
+    # CE's fallback cells here hold world vertices that later cells list
+    # too, so an expansion has to follow the swaps it makes.
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_cover_expansions_exact_disjoint_verified(self, mode):
+        check_expansions(cover_problem(), mode, 32)
 
     def test_randomized_expansions(self, rng):
         for _ in range(25):
@@ -157,6 +172,17 @@ class TestLimits:
         assert report.status == "timed_out"
         assert time.monotonic() - start <= 1.0
 
+    def test_timeout_before_first_node(self):
+        # The unary tests run once per profile: a path has three.
+        path = Graph(2000)
+        for v in range(1999):
+            path.add_edge(v, v + 1)
+        start = time.monotonic()
+        report, _ = solve(Problem(path, path), Mode.NE, timeout=1,
+                          collect=False)
+        assert report.status == "timed_out"
+        assert time.monotonic() - start <= 1.5
+
     def test_partial_counts_monotone_in_timeout(self):
         p = star_problem(7, 18)
         totals = [solve(p, Mode.NE, timeout=t, collect=False)[0].total
@@ -174,6 +200,33 @@ class TestLimits:
                                 on_class=got.append, collect=False)
         assert classes == []
         assert len(got) == report.representatives == 2
+
+
+class TestPairEquivalence:
+    def test_labels_match_candidate_structure(self, rng):
+        # Dense self-loops make the own layer decide: open and closed twins.
+        groups = 0
+        for i in range(60):
+            p = random_problem(rng, template_size=(2, 4), world_size=(5, 7),
+                               channels=(1, 2), edge_prob=0.6,
+                               self_loops=True, directed=i % 2 == 0)
+            searcher = _Searcher(p, Mode.FE, time.monotonic() + 30)
+            _, classes = solve(p, Mode.NE, max_solutions=2)
+            prefixes = [[]] + [[(s.template_vertex, s.world_vertex)
+                                for s in sc.slots[:1]] for sc in classes]
+            for prefix in prefixes:
+                cs = apply_filters(prefix, init_candidates(p), p)
+                structure = build_candidate_structure(p, cs)
+                for u in range(p.template.vertex_count):
+                    if p.template.edge(u, u) is None or u in dict(prefix):
+                        continue
+                    labels = searcher._labels_wrt(u, cs[u], cs)
+                    groups += len(cs[u]) - len(set(labels.values()))
+                    for c1 in cs[u]:
+                        for c2 in cs[u]:
+                            assert (labels[c1] == labels[c2]) == \
+                                structure.candidate_equivalent(u, c1, c2)
+        assert groups > 0
 
 
 class TestNextTemplateVertex:
