@@ -28,12 +28,11 @@ candidates of the other members of the branching vertex's template class
 (a no-op for singleton classes).
 
 A solution class has one path. ``_Searcher._recurse`` yields it, weighed
-when it is created (``_weigh``: the static interchange count without a
-builder, the product of slot multipliers with one); ``solve`` alone counts,
-streams, collects and stops; and ``expand_solution_class`` expands every
-mode by one quota recursion over the slots. The search emits only valid
-maps (injective, unary-feasible, arc consistent with every matched
-neighbour), so nothing re-verifies them.
+when it is created: without a builder by ``count_tewe``, which re-verifies
+the map and applies the static interchange count; with one, by the product
+of its slot multipliers. ``solve`` alone counts, streams, collects and
+stops, and ``expand_solution_class`` expands every mode by one quota
+recursion over the slots.
 
 One filter prunes the candidates: ``init_candidates`` applies the unary
 tests once, and ``_propagate`` keeps the sets arc consistent, from every
@@ -56,7 +55,8 @@ from math import prod
 from typing import Callable, NamedTuple
 
 from .graphs import MultiplexGraph, Problem, dominates
-from .equivalence import Partition, find_equivalence_classes, interchange_count
+from .equivalence import (Partition, count_tewe, find_equivalence_classes,
+                          interchange_count)
 from .candidates import greedy_node_cover, init_candidates
 
 
@@ -328,7 +328,11 @@ class _Searcher:
         assigned, used = self.assigned, self.used
         if len(assigned) == self.nt:
             slots = tuple(self.slots)
-            yield SolutionClass(self.mode, slots, _weigh(self.mode, slots))
+            if self.cells is None:
+                count = count_tewe(self.problem, dict(assigned), self.tp, self.wp)
+            else:
+                count = prod(s.multiplier for s in slots)
+            yield SolutionClass(self.mode, slots, count)
             return
         _propagate(self.w, self.tnbrs, jc, changed, self.deadline)
         free = [cs - used for cs in jc]
@@ -440,21 +444,17 @@ def next_template_vertex(problem: Problem, csets: list[set[int]], matched,
     return min(choices, key=key)
 
 
-def _weigh(mode: Mode, slots) -> int:
-    """The count of a class with these slots (see :func:`expansion_count_of`)."""
-    if _RULES[mode].cells is None:
-        return interchange_count((s.template_class, s.members) for s in slots)
-    return prod(s.multiplier for s in slots)
-
-
 def expansion_count_of(sc: SolutionClass) -> int:
     """Recompute the exact expansion count of ``sc`` from its slots.
 
     Modes with a dynamic cell builder multiply the slot multipliers. The
     static modes apply :func:`~eqmatch.equivalence.interchange_count` to
-    the slots' (template class, world class) incidence.
+    the slots' (template class, world class) incidence, as ``count_tewe``
+    does when the search weighs the class.
     """
-    return _weigh(sc.mode, sc.slots)
+    if _RULES[sc.mode].cells is None:
+        return interchange_count((s.template_class, s.members) for s in sc.slots)
+    return prod(s.multiplier for s in sc.slots)
 
 
 def expand_solution_class(sc: SolutionClass):

@@ -60,7 +60,7 @@ class TestModeAgreement:
                 report, classes = solve(p, mode, timeout=30)
                 assert report.status == "completed"
                 assert report.total == expect, (i, mode)
-                # The search emits representatives without re-verifying them.
+                # Modes with a cell builder emit maps without re-verifying them.
                 assert all(verify_mapping(p, sc.mapping()) for sc in classes)
 
     def test_representative_ordering(self, rng):
