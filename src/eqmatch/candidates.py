@@ -16,7 +16,7 @@ from .equivalence import structurally_equivalent
 MatchPairs = list[tuple[int, int]]
 
 
-def init_candidates(problem: Problem) -> list[set[int]]:
+def init_candidates(problem: Problem) -> list[frozenset[int]]:
     """Initial candidate sets by the unary tests: label, degree, self-loop.
 
     Sound prefilter: a world vertex survives for template vertex ``u`` only
@@ -24,23 +24,28 @@ def init_candidates(problem: Problem) -> list[set[int]]:
     out-degree in every channel (counting multiplicity), and has a self-loop
     dominating u's when u has one. The search tests only the other edges. An
     empty set is a legal result and signals unsatisfiability downstream.
-    The tests run once per distinct (label, degrees, self-loop) profile.
+    The tests run once per distinct (label, degrees, self-loop) profile,
+    over the world vertices carrying that label, and template vertices of
+    one profile share one immutable set.
     """
     t, w = problem.template, problem.world
     wdegs = [degree_vector(w, c) for c in range(w.vertex_count)]
-    by_profile: dict[tuple, set[int]] = {}
-    csets: list[set[int]] = []
+    by_label: dict[str | None, list[int]] = {}
+    for c in range(w.vertex_count):
+        by_label.setdefault(w.label(c), []).append(c)
+    by_profile: dict[tuple, frozenset[int]] = {}
+    csets: list[frozenset[int]] = []
     for u in range(t.vertex_count):
         profile = (t.label(u), tuple(degree_vector(t, u)), t.edge(u, u))
         if profile not in by_profile:
             lbl, tdeg, selfreq = profile
-            by_profile[profile] = {
-                c for c in range(w.vertex_count)
-                if (lbl is None or w.label(c) == lbl)
-                and (selfreq is None or dominates(w.edge(c, c), selfreq))
+            pool = range(w.vertex_count) if lbl is None else by_label.get(lbl, ())
+            by_profile[profile] = frozenset(
+                c for c in pool
+                if (selfreq is None or dominates(w.edge(c, c), selfreq))
                 and all(ci >= ti and co >= to
-                        for (ci, co), (ti, to) in zip(wdegs[c], tdeg))}
-        csets.append(set(by_profile[profile]))
+                        for (ci, co), (ti, to) in zip(wdegs[c], tdeg)))
+        csets.append(by_profile[profile])
     return csets
 
 

@@ -35,17 +35,26 @@ stops, and ``expand_solution_class`` expands every mode by one quota
 recursion over the slots.
 
 One filter prunes the candidates: ``init_candidates`` applies the unary
-tests once, and ``_propagate`` keeps the sets arc consistent, from every
+tests once, and ``_propagate`` keeps the domains arc consistent, from every
 vertex at the root and from the branching vertex's template class below.
 
-Candidate sets kept during search include already-used world vertices (a
-used vertex stays listed while it remains joinable); this lets recomputed
-cells report the full interchange class, with multipliers discounting the
-members consumed by earlier assignments.
+A domain is a Python ``int`` used as a bitset: bit ``c`` is set when world
+vertex ``c`` is a candidate. Once per solve, ``_support_masks`` builds one
+mask list per distinct (template-edge requirement, direction); entry ``c``
+holds the world neighbours of ``c`` whose edge dominates that requirement.
+A revision of ``y`` against a popped ``x`` ANDs ``jc[y]`` with the OR of
+the masks of x's candidates (one mask when ``x`` is matched), a signature
+part is ``out[c] & jc[u2]``, and a child's domain list shares every int of
+its parent's except the branching vertex's, which becomes ``1 << image``.
+Domains kept during search include already-used world vertices (a used
+vertex stays listed while it remains joinable); this lets recomputed cells
+report the full interchange class, with multipliers discounting the
+members consumed by earlier assignments. ``used`` is a bitset too.
 """
 
 from __future__ import annotations
 
+import re
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -141,44 +150,98 @@ class _Stop(Exception):
     """Unwinds the search at the deadline."""
 
 
-def _template_neighbor_profile(t: MultiplexGraph):
-    """For each vertex: [(neighbor, out requirement, in requirement)] plus
-    the self-loop requirement, aggregating both edge directions."""
-    profiles = []
-    selfs = []
+_ONE = re.compile("1")
+
+
+def _mask(cells) -> int:
+    """The bitset holding the world vertices ``cells``."""
+    m = 0
+    for c in cells:
+        m |= 1 << c
+    return m
+
+
+def _bits(d: int) -> list[int]:
+    """The world vertices in bitset ``d``, ascending."""
+    return [m.start() for m in _ONE.finditer(bin(d)[:1:-1])]
+
+
+def _domains(csets) -> list[int]:
+    """Bitset domains of candidate sets, converting each distinct set
+    object once (``init_candidates`` shares one set per profile)."""
+    masks: dict[int, int] = {}
+    for cs in csets:
+        if id(cs) not in masks:
+            masks[id(cs)] = _mask(cs)
+    return [masks[id(cs)] for cs in csets]
+
+
+def _support_masks(t: MultiplexGraph, w: MultiplexGraph):
+    """World support masks for every template arc, ``(tnbrs, tself)``.
+
+    One mask list is built per distinct (requirement, direction): entry
+    ``c`` holds the world out- (or in-) neighbours of ``c`` whose edge
+    dominates the requirement; ``None`` stands for an absent template edge.
+    ``tnbrs[u]`` holds ``(u2, out, in)`` for each template neighbour ``u2``
+    of ``u``, with the requirements ``t.edge(u, u2)`` and ``t.edge(u2, u)``,
+    so that ``out[c]`` holds the candidates of ``u2`` that an image ``c`` of
+    ``u`` supports through the edge ``u -> u2``; ``tself[u]`` is the
+    ``(out, in)`` pair of u's self-loop."""
+    cache: dict[tuple, list[int]] = {}
+    ok: dict[tuple, dict[tuple, bool]] = {}  # req -> world edge -> dominates
+
+    def masks(req, out: bool):
+        if req is None:
+            return None
+        if (req, out) not in cache:
+            known = ok.setdefault(req, {})
+            rows = []
+            for nbrs in (w.out if out else w.inn):
+                m = 0
+                for c2, e in nbrs.items():
+                    if e not in known:
+                        known[e] = dominates(e, req)
+                    if known[e]:
+                        m |= 1 << c2
+                rows.append(m)
+            cache[req, out] = rows
+        return cache[req, out]
+
+    tnbrs, tself = [], []
     for u in range(t.vertex_count):
-        nbrs = set(t.out[u]) | set(t.inn[u])
-        nbrs.discard(u)
-        profiles.append(tuple((u2, t.edge(u, u2), t.edge(u2, u))
-                              for u2 in sorted(nbrs)))
-        selfs.append(t.edge(u, u))
-    return profiles, selfs
+        nbrs = sorted((t.out[u].keys() | t.inn[u].keys()) - {u})
+        tnbrs.append(tuple((u2, masks(t.edge(u, u2), True),
+                            masks(t.edge(u2, u), False)) for u2 in nbrs))
+        tself.append((masks(t.edge(u, u), True), masks(t.edge(u, u), False)))
+    return tnbrs, tself
 
 
-def _propagate(w: MultiplexGraph, tnbrs, jc: list[set[int]], changed,
+def _propagate(tnbrs, jc: list[int], changed,
                deadline: float | None = None) -> None:
     """Arc consistency, in place, from the vertices in ``changed``.
 
     Every other arc must already be consistent. A popped vertex ``x``
-    revises each template neighbour's candidates against ``jc[x]``; a
-    neighbour that loses candidates is queued again. Out- and in-support
+    revises each template neighbour ``y``: a candidate of ``y`` stays if
+    some candidate of ``x`` supports it, so ``jc[y]`` is intersected with
+    the OR of the masks of x's candidates (one mask when ``x`` is matched).
+    A neighbour that loses candidates is queued again. Out- and in-support
     are independent: each may come from a different candidate of ``x``."""
     queue = dict.fromkeys(changed)  # an ordered set, popped last-in first
     while queue:
         if deadline is not None and time.monotonic() >= deadline:
             raise _Stop
         x = queue.popitem()[0]
-        dx = jc[x]
-        for y, req_in, req_out in tnbrs[x]:  # x -> y needs req_in, y -> x req_out
-            drop = [c for c in jc[y]
-                    if (req_out is not None and not any(
-                        c2 in dx and dominates(e, req_out)
-                        for c2, e in w.out[c].items()))
-                    or (req_in is not None and not any(
-                        c2 in dx and dominates(e, req_in)
-                        for c2, e in w.inn[c].items()))]
-            if drop:
-                jc[y].difference_update(drop)
+        xbits = _bits(jc[x])
+        for y, out, inn in tnbrs[x]:
+            keep = dy = jc[y]
+            for masks in (out, inn):
+                if masks is not None:
+                    union = 0
+                    for c in xbits:
+                        union |= masks[c]
+                    keep &= union
+            if keep != dy:
+                jc[y] = keep
                 queue[y] = None
 
 
@@ -192,35 +255,39 @@ class _Searcher:
         self.deadline = deadline
 
         rule = _RULES[mode]
-        self.tnbrs, self.tself = _template_neighbor_profile(self.t)
-        self.tp = (find_equivalence_classes(self.t) if rule.template_partition
+        t = self.t
+        self.tnbrs, self.tself = _support_masks(t, self.w)
+        # Vertices with one profile (neighbours, requirements, self-loop)
+        # and one domain get the same FE labels.
+        self.tprofile = [(tuple((u2, t.edge(u, u2), t.edge(u2, u))
+                                for u2, _, _ in nbrs), t.edge(u, u))
+                         for u, nbrs in enumerate(self.tnbrs)]
+        self.tdegree = [t.degree(u) for u in range(self.nt)]
+        self.tp = (find_equivalence_classes(t) if rule.template_partition
                    else Partition.trivial(self.nt))
         self.wp = (find_equivalence_classes(self.w) if rule.world_partition
                    else Partition.trivial(self.w.vertex_count))
         self.cells = rule.cells
-        self.cover: frozenset[int] = (frozenset(greedy_node_cover(self.t))
+        self.cover: frozenset[int] = (frozenset(greedy_node_cover(t))
                                       if rule.cells is _Searcher._nc_cells
                                       else frozenset())
 
         self.assigned: dict[int, int] = {}
-        self.used: set[int] = set()
+        self.used = 0  # bitset of the assigned images
         self.slots: list[Slot] = []
 
     # -- dynamic equivalence ----------------------------------------------
 
-    def _sig(self, uprime: int, c: int, jc: list[set[int]]):
-        w = self.w
+    def _sig(self, uprime: int, c: int, jc: list[int]):
         parts = []
-        for u2, req_out, req_in in self.tnbrs[uprime]:
-            if req_out is not None:
-                parts.append(frozenset(
-                    c2 for c2 in jc[u2] if dominates(w.edge(c, c2), req_out)))
-            if req_in is not None:
-                parts.append(frozenset(
-                    c2 for c2 in jc[u2] if dominates(w.edge(c2, c), req_in)))
+        for u2, out, inn in self.tnbrs[uprime]:
+            if out is not None:
+                parts.append(out[c] & jc[u2])
+            if inn is not None:
+                parts.append(inn[c] & jc[u2])
         return tuple(parts)
 
-    def _labels_wrt(self, uprime: int, universe, jc: list[set[int]]) -> dict[int, object]:
+    def _labels_wrt(self, uprime: int, universe, jc: list[int]) -> dict[int, object]:
         """Equivalence-class labels, with respect to ``uprime``, for every
         candidate in ``universe`` (which must lie inside ``jc[uprime]``).
 
@@ -229,103 +296,103 @@ class _Searcher:
         neighbourhoods (no edge between them) or equal closed ones (edges
         both ways). A candidate whose closed signature no other candidate
         shares is labelled by its open one."""
-        selfreq = self.tself[uprime]
-        if selfreq is None:
+        out, inn = self.tself[uprime]
+        if out is None:
             return {c: self._sig(uprime, c, jc) for c in universe}
-        w, own = self.w, jc[uprime]
+        own = jc[uprime]
         sigs = {}
         for c in universe:
-            outs = frozenset(c2 for c2 in own if dominates(w.edge(c, c2), selfreq))
-            ins = frozenset(c2 for c2 in own if dominates(w.edge(c2, c), selfreq))
-            rest = (self._sig(uprime, c, jc), c in outs)
-            sigs[c] = ((True, rest, outs | {c}, ins | {c}),
-                       (False, rest, outs - {c}, ins - {c}))
+            bit = 1 << c
+            outs, ins = out[c] & own, inn[c] & own
+            rest = (self._sig(uprime, c, jc), bool(outs & bit))
+            sigs[c] = ((True, rest, outs | bit, ins | bit),
+                       (False, rest, outs & ~bit, ins & ~bit))
         shared = Counter(closed for closed, _ in sigs.values())
         return {c: closed if shared[closed] > 1 else opened
                 for c, (closed, opened) in sigs.items()}
 
-    def _ce_cells(self, u: int, jc: list[set[int]]) -> list[list[int]]:
-        labels = self._labels_wrt(u, jc[u], jc)
+    def _ce_cells(self, u: int, jc: list[int]) -> list[list[int]]:
+        universe = _bits(jc[u])
+        labels = self._labels_wrt(u, universe, jc)
         dyn: dict[object, list[int]] = {}
-        for c in jc[u]:
+        for c in universe:
             dyn.setdefault(labels[c], []).append(c)
-        others = [u2 for u2 in range(self.nt)
-                  if u2 != u and u2 not in self.assigned]
+        others = 0  # candidates of the other unmatched vertices
+        for u2 in range(self.nt):
+            if u2 != u and u2 not in self.assigned:
+                others |= jc[u2]
         cells: list[list[int]] = []
         fallback: dict[int, list[int]] = {}
         for members in dyn.values():
-            blocked = any(c in jc[u2] for u2 in others for c in members)
-            if not blocked:
-                cells.append(sorted(members))
+            if not any(others >> c & 1 for c in members):
+                cells.append(members)
             else:
                 for c in members:
                     fallback.setdefault(self.wp.class_of[c], []).append(c)
-        cells.extend(sorted(g) for g in fallback.values())
+        cells.extend(fallback.values())
         return cells
 
-    def _fe_cells(self, u: int, jc: list[set[int]]) -> list[list[int]]:
-        universe = sorted(jc[u])
+    def _fe_cells(self, u: int, jc: list[int]) -> list[list[int]]:
+        universe = _bits(jc[u])
         tokens: dict[int, list[object]] = {c: [] for c in universe}
         memo: dict[object, dict[int, object]] = {}
-        frozen = [frozenset(s) for s in jc]
         # Matched vertices are fixed points; only unmatched vertices can
         # distinguish candidates that remain interchangeable.
         for uprime in (v for v in range(self.nt) if v not in self.assigned):
-            inside = [c for c in universe if c in jc[uprime]]
-            profile = (self.tnbrs[uprime], self.tself[uprime], frozen[uprime],
-                       tuple(frozen[u2] for u2, _, _ in self.tnbrs[uprime]))
+            d = jc[uprime]
+            profile = (self.tprofile[uprime], d)
             if profile in memo:
                 labels = memo[profile]
             else:
-                labels = self._labels_wrt(uprime, inside, jc)
-                memo[profile] = labels
+                inside = [c for c in universe if d >> c & 1]
+                labels = memo[profile] = self._labels_wrt(uprime, inside, jc)
             for c in universe:
-                tokens[c].append(labels.get(c, _NOT_CANDIDATE)
-                                 if c in jc[uprime] else _NOT_CANDIDATE)
+                tokens[c].append(labels.get(c, _NOT_CANDIDATE))
         groups: dict[object, list[int]] = {}
         for c in universe:
             groups.setdefault(tuple(tokens[c]), []).append(c)
-        return [sorted(g) for g in groups.values()]
+        return list(groups.values())
 
-    def _nc_cells(self, u: int, jc: list[set[int]]) -> list[list[int]]:
-        if not self.cover <= set(self.assigned):
+    def _nc_cells(self, u: int, jc: list[int]) -> list[list[int]]:
+        if not self.cover <= self.assigned.keys():
             return self._ce_cells(u, jc)
         noncover = [v for v in range(self.nt)
                     if v not in self.cover and v not in self.assigned]
-        groups: dict[frozenset[int], list[int]] = {}
-        for c in jc[u]:
-            vec = frozenset(v for v in noncover if c in jc[v])
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for c in _bits(jc[u]):
+            vec = tuple(v for v in noncover if jc[v] >> c & 1)
             groups.setdefault(vec, []).append(c)
-        return [sorted(g) for g in groups.values()]
+        return list(groups.values())
 
     # -- branch generation -------------------------------------------------
 
-    def _generate(self, u: int, jc: list[set[int]]):
+    def _generate(self, u: int, jc: list[int]):
         """Entries (representative, members, multiplier) for branching on ``u``."""
         used = self.used
         if self.cells is None:
             wp = self.wp
             cells = {wp.class_of[c]: wp.classes[wp.class_of[c]]
-                     for c in jc[u]}.values()
+                     for c in _bits(jc[u])}.values()
         else:
             cells = self.cells(self, u, jc)
+        free = jc[u] & ~used
         entries = []
         for members in cells:
-            avail = [c for c in members if c in jc[u] and c not in used]
+            avail = [c for c in members if free >> c & 1]
             if not avail:
                 continue
             entries.append((min(avail), tuple(sorted(members)),
-                            len(members) - sum(1 for c in members if c in used)))
+                            len(members) - sum(used >> c & 1 for c in members)))
         entries.sort(key=lambda e: e[0])
         return entries
 
     # -- recursion ---------------------------------------------------------
 
-    def _recurse(self, jc: list[set[int]], changed):
+    def _recurse(self, jc: list[int], changed):
         """Yield the solution classes below the current partial map."""
         if time.monotonic() >= self.deadline:
             raise _Stop
-        assigned, used = self.assigned, self.used
+        assigned = self.assigned
         if len(assigned) == self.nt:
             slots = tuple(self.slots)
             if self.cells is None:
@@ -334,28 +401,32 @@ class _Searcher:
                 count = prod(s.multiplier for s in slots)
             yield SolutionClass(self.mode, slots, count)
             return
-        _propagate(self.w, self.tnbrs, jc, changed, self.deadline)
-        free = [cs - used for cs in jc]
-        if not all(free[v] for v in range(self.nt) if v not in assigned):
+        _propagate(self.tnbrs, jc, changed, self.deadline)
+        free = ~self.used
+        sizes = {v: (jc[v] & free).bit_count()
+                 for v in range(self.nt) if v not in assigned}
+        if not all(sizes.values()):
             return
-        u = next_template_vertex(self.problem, free, assigned, self.cover)
-        del free  # one level's copy must not live across the recursion
+        u = _branch_vertex(sizes, self.tdegree, self.cover)
         tclass = self.tp.classes[self.tp.class_of[u]]
         for rep, members, mult in self._generate(u, jc):
+            bit = 1 << rep
             assigned[u] = rep
-            used.add(rep)
+            self.used |= bit
             self.slots.append(Slot(u, tclass, rep, members, mult))
+            child = list(jc)
+            child[u] = bit
             # The prune below may have shrunk u's template siblings.
-            yield from self._recurse([{rep} if v == u else set(cs)
-                                      for v, cs in enumerate(jc)], tclass)
+            yield from self._recurse(child, tclass)
             self.slots.pop()
-            used.discard(rep)
+            self.used ^= bit
             del assigned[u]
             # Template-equivalent vertices would only repeat this branch's
             # classes (a no-op for singleton template classes).
+            keep = ~_mask(members)
             for u2 in tclass:
                 if u2 != u and u2 not in assigned:
-                    jc[u2].difference_update(members)
+                    jc[u2] &= keep
 
 
 class _Rule(NamedTuple):
@@ -398,7 +469,8 @@ def solve(problem: Problem, mode: Mode | str, timeout: float = 600.0,
     status = "completed"
     try:
         if nt <= problem.world.vertex_count:
-            for sc in searcher._recurse(init_candidates(problem), range(nt)):
+            for sc in searcher._recurse(_domains(init_candidates(problem)),
+                                        range(nt)):
                 representatives += 1
                 total += sc.count
                 if on_class is not None:
@@ -421,12 +493,23 @@ def apply_filters(match, csets: list[set[int]], problem: Problem) -> list[set[in
     :func:`~eqmatch.candidates.init_candidates`, which applies the unary
     tests (label, degree, self-loop); this checks only the binary ones."""
     assigned = dict(match)
-    jc = [{assigned[u]} if u in assigned else set(cs)
-          for u, cs in enumerate(csets)]
-    _propagate(problem.world, _template_neighbor_profile(problem.template)[0],
+    jc = _domains(csets)
+    for u, c in assigned.items():
+        jc[u] = 1 << c
+    _propagate(_support_masks(problem.template, problem.world)[0],
                jc, range(len(jc)))
-    used = set(assigned.values())
-    return [cs if u in assigned else cs - used for u, cs in enumerate(jc)]
+    free = ~_mask(assigned.values())
+    return [set(_bits(d if u in assigned else d & free))
+            for u, d in enumerate(jc)]
+
+
+def _branch_vertex(sizes: dict[int, int], degree, cover) -> int:
+    """The unmatched vertex (a key of ``sizes``, which maps it to its
+    domain size) to branch on: node-cover vertices first, then the smallest
+    domain, ties by max template degree, then lowest index."""
+    if not sizes:
+        raise ValueError("no unmatched template vertex")
+    return min(sizes, key=lambda u: (u not in cover, sizes[u], -degree[u], u))
 
 
 def next_template_vertex(problem: Problem, csets: list[set[int]], matched,
@@ -435,13 +518,10 @@ def next_template_vertex(problem: Problem, csets: list[set[int]], matched,
     candidate set, ties by max template degree, then lowest index."""
     t = problem.template
     matched = set(matched)
-    cover = set(cover)
-    def key(u: int):
-        return (u not in cover, len(csets[u]), -t.degree(u), u)
-    choices = [u for u in range(t.vertex_count) if u not in matched]
-    if not choices:
-        raise ValueError("no unmatched template vertex")
-    return min(choices, key=key)
+    sizes = {u: len(csets[u]) for u in range(t.vertex_count)
+             if u not in matched}
+    return _branch_vertex(sizes, [t.degree(u) for u in range(t.vertex_count)],
+                          set(cover))
 
 
 def expansion_count_of(sc: SolutionClass) -> int:

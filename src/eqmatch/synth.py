@@ -107,12 +107,18 @@ def random_problem(rng: random.Random,
     w = random_multiplex_graph(rng, nw, k, edge_prob,
                                self_loops=self_loops, directed=directed)
     if planted:
-        image = rng.sample(range(nw), nt)
-        for u in range(nt):
-            for v, mult in t.out[u].items():
-                have = w.edge(image[u], image[v]) or (0,) * k
-                for ch, need in enumerate(mult, start=1):
-                    gap = need - have[ch - 1]
-                    if gap > 0:
-                        w.add_edge(image[u], image[v], ch, gap)
+        plant(rng, t, w)
     return Problem(t, w, directed=directed)
+
+
+def plant(rng: random.Random, t: MultiplexGraph, w: MultiplexGraph) -> None:
+    """Embed ``t`` into ``w`` under a random injection, adding the world
+    edge multiplicities each template edge lacks."""
+    image = rng.sample(range(w.vertex_count), t.vertex_count)
+    for u in range(t.vertex_count):
+        for v, mult in t.out[u].items():
+            have = w.edge(image[u], image[v]) or (0,) * w.channels
+            for ch, need in enumerate(mult, start=1):
+                gap = need - have[ch - 1]
+                if gap > 0:
+                    w.add_edge(image[u], image[v], ch, gap)

@@ -1,17 +1,18 @@
 """The equivalence-aware tree search across all seven modes."""
 
 import time
+import tracemalloc
 
 import pytest
 
-from eqmatch.graphs import Graph, Problem
-from eqmatch.search import (ALL_MODES, Mode, _Searcher, apply_filters,
-                            expand_solution_class, expansion_count_of,
-                            next_template_vertex, solve)
+from eqmatch.graphs import Graph, MultiplexGraph, Problem
+from eqmatch.search import (ALL_MODES, Mode, _domains, _Searcher,
+                            apply_filters, expand_solution_class,
+                            expansion_count_of, next_template_vertex, solve)
 from eqmatch.candidates import (build_candidate_structure, greedy_node_cover,
                                 init_candidates)
-from eqmatch.synth import (cover_problem, random_problem, star_problem,
-                           toy_problem)
+from eqmatch.synth import (cover_problem, plant, random_multiplex_graph,
+                           random_problem, star_problem, toy_problem)
 
 from oracles import brute_force_count, brute_force_solutions, verify_mapping
 
@@ -48,6 +49,19 @@ class TestToyFixture:
         assert set(by_vertex[2].members) == {1, 2, 3, 4}
 
 
+def relabelled(rng, g):
+    """A copy of ``g`` with its vertices randomly permuted."""
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    h = MultiplexGraph(g.vertex_count, g.channels)
+    for u in range(g.vertex_count):
+        for v, mults in g.out[u].items():
+            for ch, m in enumerate(mults, start=1):
+                if m:
+                    h.add_edge(perm[u], perm[v], ch, m)
+    return h
+
+
 class TestModeAgreement:
     def test_randomized_against_brute_force(self, rng):
         for i in range(60):
@@ -62,6 +76,32 @@ class TestModeAgreement:
                 assert report.total == expect, (i, mode)
                 # Modes with a cell builder emit maps without re-verifying them.
                 assert all(verify_mapping(p, sc.mapping()) for sc in classes)
+
+    def test_planted_totals_agree_under_relabelling(self, rng):
+        # Beyond the oracle's reach: templates planted in sparse 50-150-vertex
+        # worlds, and a copy with both vertex sets permuted. NE lists every
+        # solution, so instances with more than 3000 are passed over.
+        checked = 0
+        for i in range(24):
+            k, directed = 1 + i % 2, i % 4 < 2
+            t = random_multiplex_graph(rng, rng.randint(5, 7), k, 0.25,
+                                       directed=directed)
+            w = random_multiplex_graph(rng, rng.randint(50, 150), k, 0.05,
+                                       directed=directed)
+            plant(rng, t, w)
+            p = Problem(t, w, directed=directed)
+            q = Problem(relabelled(rng, t), relabelled(rng, w),
+                        directed=directed)
+            if solve(p, Mode.NE, max_solutions=3000,
+                     collect=False)[0].status != "completed":
+                continue
+            checked += 1
+            reports = [solve(problem, mode, timeout=30, collect=False)[0]
+                       for mode in ALL_MODES for problem in (p, q)]
+            assert all(r.status == "completed" for r in reports)
+            assert len({r.total for r in reports}) == 1, (i, reports)
+            assert reports[0].total >= 1
+        assert checked >= 12
 
     def test_representative_ordering(self, rng):
         for _ in range(40):
@@ -163,8 +203,8 @@ class TestLimits:
 
     def test_timeout_inside_one_node(self):
         # The root's arc consistency on a long path is one expensive node.
-        path = Graph(200)
-        for v in range(199):
+        path = Graph(400)
+        for v in range(399):
             path.add_edge(v, v + 1)
         start = time.monotonic()
         report, _ = solve(Problem(path, path), Mode.NE, timeout=0.5,
@@ -182,6 +222,33 @@ class TestLimits:
                           collect=False)
         assert report.status == "timed_out"
         assert time.monotonic() - start <= 1.5
+
+    def test_timeout_with_distinct_labels(self):
+        # Every template vertex has its own unary profile.
+        n = 5000
+        path = Graph(n, labels=[str(v) for v in range(n)])
+        for v in range(n - 1):
+            path.add_edge(v, v + 1)
+        start = time.monotonic()
+        report, _ = solve(Problem(path, path), Mode.NE, timeout=0.2,
+                          collect=False)
+        assert report.status == "timed_out"
+        assert time.monotonic() - start <= 0.2 + 0.5
+
+    def test_streamed_memory_bounded(self):
+        # One candidate set per unary profile, not per template vertex.
+        path = Graph(2000)
+        for v in range(1999):
+            path.add_edge(v, v + 1)
+        tracemalloc.start()
+        try:
+            report, _ = solve(Problem(path, path), Mode.NE, timeout=1,
+                              collect=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.status == "timed_out"
+        assert peak < 32 * 2 ** 20
 
     def test_partial_counts_monotone_in_timeout(self):
         p = star_problem(7, 18)
@@ -217,10 +284,11 @@ class TestPairEquivalence:
             for prefix in prefixes:
                 cs = apply_filters(prefix, init_candidates(p), p)
                 structure = build_candidate_structure(p, cs)
+                jc = _domains(cs)
                 for u in range(p.template.vertex_count):
                     if p.template.edge(u, u) is None or u in dict(prefix):
                         continue
-                    labels = searcher._labels_wrt(u, cs[u], cs)
+                    labels = searcher._labels_wrt(u, cs[u], jc)
                     groups += len(cs[u]) - len(set(labels.values()))
                     for c1 in cs[u]:
                         for c2 in cs[u]:
