@@ -39,13 +39,17 @@ tests once, and ``_propagate`` keeps the domains arc consistent, from every
 vertex at the root and from the branching vertex's template class below.
 
 A domain is a Python ``int`` used as a bitset: bit ``c`` is set when world
-vertex ``c`` is a candidate. Once per solve, ``_support_masks`` builds one
-mask list per distinct (template-edge requirement, direction); entry ``c``
+vertex ``c`` is a candidate. ``_support_masks`` gives each distinct
+(template-edge requirement, direction) one ``_Rows`` map, whose entry ``c``
 holds the world neighbours of ``c`` whose edge dominates that requirement.
 A revision of ``y`` against a popped ``x`` ANDs ``jc[y]`` with the OR of
 the masks of x's candidates (one mask when ``x`` is matched), a signature
 part is ``out[c] & jc[u2]``, and a child's domain list shares every int of
 its parent's except the branching vertex's, which becomes ``1 << image``.
+A mask is as wide as the world, so masks are built on first use and
+memoised within ``_ROW_BYTES`` per solve. A world of a few thousand
+vertices fits whole; past the budget, a revision sets the bits of the
+masks it lacks in a byte buffer, linear in the arcs it reads.
 Domains kept during search include already-used world vertices (a used
 vertex stays listed while it remains joinable); this lets recomputed cells
 report the full interchange class, with multipliers discounting the
@@ -154,15 +158,18 @@ _ONE = re.compile("1")
 
 
 def _mask(cells) -> int:
-    """The bitset holding the world vertices ``cells``."""
-    m = 0
+    """The bitset holding the world vertices ``cells``, set in one byte
+    buffer: linear in the width, where a shift per cell is quadratic."""
+    buf = bytearray(max(cells, default=-1) // 8 + 1)
     for c in cells:
-        m |= 1 << c
-    return m
+        buf[c >> 3] |= 1 << (c & 7)
+    return int.from_bytes(buf, "little")
 
 
 def _bits(d: int) -> list[int]:
     """The world vertices in bitset ``d``, ascending."""
+    if d.bit_count() == 1:  # a matched vertex: skip the O(width) string
+        return [d.bit_length() - 1]
     return [m.start() for m in _ONE.finditer(bin(d)[:1:-1])]
 
 
@@ -176,35 +183,94 @@ def _domains(csets) -> list[int]:
     return [masks[id(cs)] for cs in csets]
 
 
+class _Dominates(dict):
+    """``dominates(e, req)`` per world edge tuple ``e``, computed once."""
+
+    def __init__(self, req):
+        super().__init__()
+        self.req = req
+
+    def __missing__(self, e) -> bool:
+        ok = self[e] = dominates(e, self.req)
+        return ok
+
+
+class _Rows(dict):
+    """The support masks of one (requirement, direction), keyed by world
+    vertex: entry ``c`` holds the world out- (or in-) neighbours of ``c``
+    whose edge dominates the requirement (``ok[e]``).
+
+    A mask is as wide as the highest neighbour it holds, so a full list
+    would take O(|V_w|^2) bits in a large sparse world. Rows are therefore
+    built on first use, for candidates only, and memoised until one no
+    longer fits in ``budget`` (a one-element list of bytes left, shared by
+    the solve's lists, zero once spent); past that a row is rebuilt on
+    every use."""
+
+    def __init__(self, adj, ok: _Dominates, budget: list[int]):
+        super().__init__()
+        self.adj, self.ok, self.budget = adj, ok, budget
+
+    def __missing__(self, c: int) -> int:
+        ok, m = self.ok, 0
+        for c2, e in self.adj[c].items():
+            if ok[e]:
+                m |= 1 << c2
+        cost = m.bit_length() // 7 + 128  # about: the int and its entry
+        if self.budget[0] >= cost:
+            self.budget[0] -= cost
+            self[c] = m
+        else:
+            self.budget[0] = 0
+        return m
+
+    def union(self, cs: list[int]) -> int:
+        """The OR of the rows of ``cs``. While the budget lasts, every row
+        is (or becomes) a memoised int. Once it is spent, the bits of the
+        rows not memoised are set in one byte buffer, so that the cost
+        stays linear in their arcs instead of growing with |cs| x |V_w|."""
+        m = 0
+        if self.budget[0]:
+            for c in cs:
+                m |= self[c]
+            return m
+        ok, adj = self.ok, self.adj
+        buf = bytearray((len(adj) + 7) // 8)
+        for c in cs:
+            row = self.get(c)
+            if row is not None:
+                m |= row
+                continue
+            for c2, e in adj[c].items():
+                if ok[e]:
+                    buf[c2 >> 3] |= 1 << (c2 & 7)
+        return m | int.from_bytes(buf, "little")
+
+
+_ROW_BYTES = 16 << 20  # memoised support masks per solve
+
+
 def _support_masks(t: MultiplexGraph, w: MultiplexGraph):
     """World support masks for every template arc, ``(tnbrs, tself)``.
 
-    One mask list is built per distinct (requirement, direction): entry
-    ``c`` holds the world out- (or in-) neighbours of ``c`` whose edge
-    dominates the requirement; ``None`` stands for an absent template edge.
-    ``tnbrs[u]`` holds ``(u2, out, in)`` for each template neighbour ``u2``
-    of ``u``, with the requirements ``t.edge(u, u2)`` and ``t.edge(u2, u)``,
-    so that ``out[c]`` holds the candidates of ``u2`` that an image ``c`` of
-    ``u`` supports through the edge ``u -> u2``; ``tself[u]`` is the
-    ``(out, in)`` pair of u's self-loop."""
-    cache: dict[tuple, list[int]] = {}
-    ok: dict[tuple, dict[tuple, bool]] = {}  # req -> world edge -> dominates
+    One :class:`_Rows` is made per distinct (requirement, direction);
+    ``None`` stands for an absent template edge. ``tnbrs[u]`` holds
+    ``(u2, out, in)`` for each template neighbour ``u2`` of ``u``, with the
+    requirements ``t.edge(u, u2)`` and ``t.edge(u2, u)``, so that ``out[c]``
+    holds the candidates of ``u2`` that an image ``c`` of ``u`` supports
+    through the edge ``u -> u2``; ``tself[u]`` is the ``(out, in)`` pair of
+    u's self-loop."""
+    cache: dict[tuple, _Rows] = {}
+    ok: dict[tuple, _Dominates] = {}
+    budget = [_ROW_BYTES]
 
     def masks(req, out: bool):
         if req is None:
             return None
         if (req, out) not in cache:
-            known = ok.setdefault(req, {})
-            rows = []
-            for nbrs in (w.out if out else w.inn):
-                m = 0
-                for c2, e in nbrs.items():
-                    if e not in known:
-                        known[e] = dominates(e, req)
-                    if known[e]:
-                        m |= 1 << c2
-                rows.append(m)
-            cache[req, out] = rows
+            if req not in ok:
+                ok[req] = _Dominates(req)
+            cache[req, out] = _Rows(w.out if out else w.inn, ok[req], budget)
         return cache[req, out]
 
     tnbrs, tself = [], []
@@ -232,14 +298,15 @@ def _propagate(tnbrs, jc: list[int], changed,
             raise _Stop
         x = queue.popitem()[0]
         xbits = _bits(jc[x])
+        unions = {}  # one OR per mask list: neighbours often share lists
         for y, out, inn in tnbrs[x]:
             keep = dy = jc[y]
-            for masks in (out, inn):
-                if masks is not None:
-                    union = 0
-                    for c in xbits:
-                        union |= masks[c]
-                    keep &= union
+            for rows in (out, inn):
+                if rows is not None:
+                    key = id(rows)
+                    if key not in unions:
+                        unions[key] = rows.union(xbits)
+                    keep &= unions[key]
             if keep != dy:
                 jc[y] = keep
                 queue[y] = None

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from eqmatch import search
 from eqmatch.graphs import Graph, MultiplexGraph, Problem
 from eqmatch.search import (ALL_MODES, Mode, _domains, _Searcher,
                             apply_filters, expand_solution_class,
@@ -102,6 +103,19 @@ class TestModeAgreement:
             assert len({r.total for r in reports}) == 1, (i, reports)
             assert reports[0].total >= 1
         assert checked >= 12
+
+    def test_spent_mask_budget_keeps_classes(self, rng, monkeypatch):
+        # Past the budget, masks are rebuilt or set in a byte buffer; the
+        # classes must not depend on which rows were memoised.
+        for i in range(30):
+            p = random_problem(rng, template_size=(3, 5), world_size=(6, 10),
+                               self_loops=i % 3 == 0, directed=i % 2 == 0)
+            runs = []
+            for budget in (search._ROW_BYTES, 0, 600):
+                monkeypatch.setattr(search, "_ROW_BYTES", budget)
+                runs.append([(r.total, [sc.to_json() for sc in classes])
+                             for r, classes in (solve(p, m) for m in ALL_MODES)])
+            assert runs[0] == runs[1] == runs[2], i
 
     def test_representative_ordering(self, rng):
         for _ in range(40):
@@ -248,6 +262,32 @@ class TestLimits:
         finally:
             tracemalloc.stop()
         assert report.status == "timed_out"
+        assert peak < 32 * 2 ** 20
+
+    def test_large_sparse_world_bounded(self, rng):
+        # A support mask is as wide as the world: a triangle in a sparse
+        # 20000-vertex world must not build one for every world vertex
+        # before the first deadline check, nor keep them all.
+        n = 20000
+        world = Graph(n)
+        for _ in range(2 * n):
+            a, b = rng.randrange(n), rng.randrange(n)
+            if a != b:
+                world.add_edge(a, b)
+        triangle = Graph(3)
+        for a, b in ((0, 1), (1, 2), (0, 2)):
+            triangle.add_edge(a, b)
+        problem = Problem(triangle, world)
+        start = time.monotonic()
+        report, _ = solve(problem, Mode.NE, timeout=0.1, collect=False)
+        assert report.status == "timed_out"
+        assert time.monotonic() - start <= 0.1 + 0.5
+        tracemalloc.start()
+        try:
+            solve(problem, Mode.NE, timeout=0.1, collect=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak < 32 * 2 ** 20
 
     def test_partial_counts_monotone_in_timeout(self):
