@@ -8,12 +8,18 @@ multiplicity, and (when present) their labels and self-loops agree.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from math import comb, factorial
 
 from .graphs import MultiplexGraph, Problem, is_subgraph_isomorphism
 
 _SELF = object()  # sentinel for self-loop keys in neighbor signatures
+_CHECK_EVERY = 256  # vertices between deadline checks
+
+
+class DeadlineExceeded(TimeoutError):
+    """A computation given a deadline ran past it."""
 
 
 @dataclass(frozen=True)
@@ -101,24 +107,35 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def find_equivalence_classes(g: MultiplexGraph) -> Partition:
+def find_equivalence_classes(g: MultiplexGraph,
+                             deadline: float | None = None) -> Partition:
     """Compute the maximal structural-equivalence partition of ``g``.
 
     Non-adjacent equivalent vertices share an exact neighbor signature, so a
     hash pass groups them in near-linear time; equivalent vertices that are
     adjacent to each other (mutual-edge pairs) are caught by testing each
-    edge pairwise. The result is independent of visit order.
+    edge pairwise. The result is independent of visit order. Given a
+    ``deadline`` (a ``time.monotonic()`` value), both passes check it every
+    few hundred vertices and raise :class:`DeadlineExceeded` once it has
+    passed.
     """
+    def check(v: int) -> None:
+        if (deadline is not None and v % _CHECK_EVERY == 0
+                and time.monotonic() >= deadline):
+            raise DeadlineExceeded
+
     n = g.vertex_count
     uf = _UnionFind(n)
     by_sig: dict[object, int] = {}
     for v in range(n):
+        check(v)
         sig = _signature(g, v)
         if sig in by_sig:
             uf.union(by_sig[sig], v)
         else:
             by_sig[sig] = v
     for v in range(n):
+        check(v)
         for w in g.out[v]:
             if w != v and uf.find(v) != uf.find(w) and structurally_equivalent(g, v, w):
                 uf.union(v, w)

@@ -1,6 +1,6 @@
-"""Equivalence-aware recursive tree search over template-in-world matching.
+"""Equivalence-aware depth-first search over template-in-world matching.
 
-Seven search modes share one recursion. Each mode is one row of
+Seven search modes share one search. Each mode is one row of
 ``_RULES``: whether it interchanges statically equivalent template
 vertices, whether it interchanges statically equivalent world vertices,
 and which dynamic cell builder groups the candidates of the branching
@@ -27,12 +27,14 @@ and once a branch is exhausted, its world class is dropped from the
 candidates of the other members of the branching vertex's template class
 (a no-op for singleton classes).
 
-A solution class has one path. ``_Searcher._recurse`` yields it, weighed
+A solution class has one path. ``_Searcher._classes`` yields it, weighed
 when it is created: without a builder by ``count_tewe``, which re-verifies
 the map and applies the static interchange count; with one, by the product
 of its slot multipliers. ``solve`` alone counts, streams, collects and
 stops, and ``expand_solution_class`` expands every mode by one quota
-recursion over the slots.
+search over the slots. Both searches keep an explicit stack (one frame
+per matched template vertex, one choice iterator per filled slot), so a
+template's size is not bounded by Python's recursion limit.
 
 One filter prunes the candidates: ``init_candidates`` applies the unary
 tests once, and ``_propagate`` keeps the domains arc consistent, from every
@@ -54,6 +56,17 @@ Domains kept during search include already-used world vertices (a used
 vertex stays listed while it remains joinable); this lets recomputed cells
 report the full interchange class, with multipliers discounting the
 members consumed by earlier assignments. ``used`` is a bitset too.
+
+A cell is a bitset as well, a subset of the branching vertex's domain.
+The builders refine ``[jc[u]]`` (partition refinement; Paige and Tarjan,
+SIAM J. Comput. 1987): FE by the label groups, as bitsets, of each
+unmatched vertex, splitting a cell by the group of its lowest candidate
+until it is empty, so each output cell costs one AND (a vertex without
+template edges has one label, so its domain splits as in NC); NC by each
+non-cover domain ``d`` into ``cell & d`` and ``cell & ~d``; CE by its own
+label groups, a group being blocked when it meets the other unmatched
+domains. A branch's representative is the lowest free bit of its cell,
+and its multiplier the number of the cell's unused bits.
 """
 
 from __future__ import annotations
@@ -68,8 +81,8 @@ from math import prod
 from typing import Callable, NamedTuple
 
 from .graphs import MultiplexGraph, Problem, dominates
-from .equivalence import (Partition, count_tewe, find_equivalence_classes,
-                          interchange_count)
+from .equivalence import (DeadlineExceeded, Partition, count_tewe,
+                          find_equivalence_classes, interchange_count)
 from .candidates import greedy_node_cover, init_candidates
 
 
@@ -84,9 +97,6 @@ class Mode(str, Enum):
 
 
 ALL_MODES = tuple(Mode)
-
-_NOT_CANDIDATE = 0  # token for "outside this vertex's candidate set"
-
 
 @dataclass(frozen=True)
 class Slot:
@@ -150,10 +160,6 @@ class SearchReport:
         }
 
 
-class _Stop(Exception):
-    """Unwinds the search at the deadline."""
-
-
 _ONE = re.compile("1")
 
 
@@ -167,10 +173,16 @@ def _mask(cells) -> int:
 
 
 def _bits(d: int) -> list[int]:
-    """The world vertices in bitset ``d``, ascending."""
-    if d.bit_count() == 1:  # a matched vertex: skip the O(width) string
-        return [d.bit_length() - 1]
-    return [m.start() for m in _ONE.finditer(bin(d)[:1:-1])]
+    """The world vertices in bitset ``d``, ascending. A few are peeled off
+    lowest first; more are read from one O(width) binary string."""
+    if d.bit_count() > 16:
+        return [m.start() for m in _ONE.finditer(bin(d)[:1:-1])]
+    out = []
+    while d:
+        low = d & -d
+        out.append(low.bit_length() - 1)
+        d ^= low
+    return out
 
 
 def _domains(csets) -> list[int]:
@@ -295,7 +307,7 @@ def _propagate(tnbrs, jc: list[int], changed,
     queue = dict.fromkeys(changed)  # an ordered set, popped last-in first
     while queue:
         if deadline is not None and time.monotonic() >= deadline:
-            raise _Stop
+            raise DeadlineExceeded
         x = queue.popitem()[0]
         xbits = _bits(jc[x])
         unions = {}  # one OR per mask list: neighbours often share lists
@@ -330,9 +342,10 @@ class _Searcher:
                                 for u2, _, _ in nbrs), t.edge(u, u))
                          for u, nbrs in enumerate(self.tnbrs)]
         self.tdegree = [t.degree(u) for u in range(self.nt)]
-        self.tp = (find_equivalence_classes(t) if rule.template_partition
-                   else Partition.trivial(self.nt))
-        self.wp = (find_equivalence_classes(self.w) if rule.world_partition
+        self.tp = (find_equivalence_classes(t, deadline=deadline)
+                   if rule.template_partition else Partition.trivial(self.nt))
+        self.wp = (find_equivalence_classes(self.w, deadline=deadline)
+                   if rule.world_partition
                    else Partition.trivial(self.w.vertex_count))
         self.cells = rule.cells
         self.cover: frozenset[int] = (frozenset(greedy_node_cover(t))
@@ -378,122 +391,168 @@ class _Searcher:
         return {c: closed if shared[closed] > 1 else opened
                 for c, (closed, opened) in sigs.items()}
 
-    def _ce_cells(self, u: int, jc: list[int]) -> list[list[int]]:
-        universe = _bits(jc[u])
-        labels = self._labels_wrt(u, universe, jc)
-        dyn: dict[object, list[int]] = {}
-        for c in universe:
-            dyn.setdefault(labels[c], []).append(c)
+    def _ce_cells(self, u: int, jc: list[int]) -> list[int]:
+        labels = self._labels_wrt(u, _bits(jc[u]), jc)
         others = 0  # candidates of the other unmatched vertices
         for u2 in range(self.nt):
             if u2 != u and u2 not in self.assigned:
                 others |= jc[u2]
-        cells: list[list[int]] = []
-        fallback: dict[int, list[int]] = {}
-        for members in dyn.values():
-            if not any(others >> c & 1 for c in members):
-                cells.append(members)
+        cells, blocked = [], 0
+        for cell in _group(labels).values():
+            if cell & others:
+                blocked |= cell
             else:
-                for c in members:
-                    fallback.setdefault(self.wp.class_of[c], []).append(c)
-        cells.extend(fallback.values())
+                cells.append(cell)
+        if blocked:
+            class_of = self.wp.class_of
+            cells.extend(_group({c: class_of[c]
+                                 for c in _bits(blocked)}).values())
         return cells
 
-    def _fe_cells(self, u: int, jc: list[int]) -> list[list[int]]:
-        universe = _bits(jc[u])
-        tokens: dict[int, list[object]] = {c: [] for c in universe}
-        memo: dict[object, dict[int, object]] = {}
-        # Matched vertices are fixed points; only unmatched vertices can
-        # distinguish candidates that remain interchangeable.
-        for uprime in (v for v in range(self.nt) if v not in self.assigned):
+    def _fe_cells(self, u: int, jc: list[int]) -> list[int]:
+        """Refine ``[jc[u]]`` by the candidate equivalence with respect to
+        each unmatched vertex (matched vertices are fixed points), splitting
+        a cell by the group of its lowest candidate until it is empty."""
+        domain = jc[u]
+        cells, size = [domain], domain.bit_count()
+        seen = set()  # one profile and domain refine alike
+        for uprime in range(self.nt):
+            if len(cells) == size:  # all singletons
+                break
             d = jc[uprime]
-            profile = (self.tprofile[uprime], d)
-            if profile in memo:
-                labels = memo[profile]
-            else:
-                inside = [c for c in universe if d >> c & 1]
-                labels = memo[profile] = self._labels_wrt(uprime, inside, jc)
-            for c in universe:
-                tokens[c].append(labels.get(c, _NOT_CANDIDATE))
-        groups: dict[object, list[int]] = {}
-        for c in universe:
-            groups.setdefault(tuple(tokens[c]), []).append(c)
-        return list(groups.values())
+            key = (self.tprofile[uprime], d)
+            if uprime in self.assigned or key in seen:
+                continue
+            seen.add(key)
+            if not self.tnbrs[uprime] and self.tself[uprime][0] is None:
+                cells = _split(cells, d)  # one label inside d
+                continue
+            labels = self._labels_wrt(uprime, _bits(domain & d), jc)
+            groups, outside = _group(labels), domain & ~d
+            if len(groups) + (outside != 0) < 2:  # splits nothing
+                continue
+            split = []
+            for cell in cells:
+                while cell & (cell - 1):
+                    low = (cell & -cell).bit_length() - 1
+                    piece = cell & (groups[labels[low]] if low in labels
+                                    else outside)
+                    split.append(piece)
+                    cell ^= piece
+                if cell:
+                    split.append(cell)
+            cells = split
+        return cells
 
-    def _nc_cells(self, u: int, jc: list[int]) -> list[list[int]]:
+    def _nc_cells(self, u: int, jc: list[int]) -> list[int]:
         if not self.cover <= self.assigned.keys():
             return self._ce_cells(u, jc)
-        noncover = [v for v in range(self.nt)
-                    if v not in self.cover and v not in self.assigned]
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for c in _bits(jc[u]):
-            vec = tuple(v for v in noncover if jc[v] >> c & 1)
-            groups.setdefault(vec, []).append(c)
-        return list(groups.values())
+        cells, size = [jc[u]], jc[u].bit_count()
+        for v in range(self.nt):
+            if len(cells) == size:
+                break
+            if v not in self.cover and v not in self.assigned:
+                cells = _split(cells, jc[v])
+        return cells
 
     # -- branch generation -------------------------------------------------
 
     def _generate(self, u: int, jc: list[int]):
-        """Entries (representative, members, multiplier) for branching on ``u``."""
+        """Entries (representative, members, multiplier) for branching on
+        ``u``, by ascending representative: the lowest free candidate."""
         used = self.used
-        if self.cells is None:
-            wp = self.wp
-            cells = {wp.class_of[c]: wp.classes[wp.class_of[c]]
-                     for c in _bits(jc[u])}.values()
-        else:
-            cells = self.cells(self, u, jc)
         free = jc[u] & ~used
+        if self.cells is None:
+            # The world classes of the free candidates, first met at their
+            # representatives.
+            wp, entries = self.wp, {}
+            for c in _bits(free):
+                k = wp.class_of[c]
+                if k not in entries:
+                    members = wp.classes[k]
+                    entries[k] = (c, members, 1 if len(members) == 1 else
+                                  len(members) - sum(used >> m & 1
+                                                     for m in members))
+            return list(entries.values())
         entries = []
-        for members in cells:
-            avail = [c for c in members if free >> c & 1]
-            if not avail:
-                continue
-            entries.append((min(avail), tuple(sorted(members)),
-                            len(members) - sum(used >> c & 1 for c in members)))
-        entries.sort(key=lambda e: e[0])
+        for cell in self.cells(self, u, jc):
+            avail = cell & free
+            if avail:
+                entries.append(((avail & -avail).bit_length() - 1,
+                                tuple(_bits(cell)), (cell & ~used).bit_count()))
+        entries.sort()
         return entries
 
-    # -- recursion ---------------------------------------------------------
+    # -- search ------------------------------------------------------------
 
-    def _recurse(self, jc: list[int], changed):
-        """Yield the solution classes below the current partial map."""
-        if time.monotonic() >= self.deadline:
-            raise _Stop
-        assigned = self.assigned
-        if len(assigned) == self.nt:
-            slots = tuple(self.slots)
-            if self.cells is None:
-                count = count_tewe(self.problem, dict(assigned), self.tp, self.wp)
+    def _classes(self, jc: list[int]):
+        """Yield the solution classes below the root domains ``jc``, depth
+        first. A stack frame holds a node's domains, its branching vertex,
+        that vertex's template class and the node's remaining entries."""
+        assigned, slots, nt = self.assigned, self.slots, self.nt
+        stack = []
+        changed = range(nt)
+        while True:
+            if time.monotonic() >= self.deadline:
+                raise DeadlineExceeded
+            if len(assigned) == nt:
+                if self.cells is None:
+                    count = count_tewe(self.problem, dict(assigned),
+                                       self.tp, self.wp)
+                else:
+                    count = prod(s.multiplier for s in slots)
+                yield SolutionClass(self.mode, tuple(slots), count)
             else:
-                count = prod(s.multiplier for s in slots)
-            yield SolutionClass(self.mode, slots, count)
-            return
-        _propagate(self.tnbrs, jc, changed, self.deadline)
-        free = ~self.used
-        sizes = {v: (jc[v] & free).bit_count()
-                 for v in range(self.nt) if v not in assigned}
-        if not all(sizes.values()):
-            return
-        u = _branch_vertex(sizes, self.tdegree, self.cover)
-        tclass = self.tp.classes[self.tp.class_of[u]]
-        for rep, members, mult in self._generate(u, jc):
-            bit = 1 << rep
+                _propagate(self.tnbrs, jc, changed, self.deadline)
+                free = ~self.used
+                sizes = {v: (jc[v] & free).bit_count()
+                         for v in range(nt) if v not in assigned}
+                if all(sizes.values()):
+                    u = _branch_vertex(sizes, self.tdegree, self.cover)
+                    stack.append((jc, u, self.tp.classes[self.tp.class_of[u]],
+                                  iter(self._generate(u, jc))))
+            # Back up to the deepest node with an entry left.
+            while stack:
+                jc, u, tclass, entries = stack[-1]
+                if u in assigned:  # back from its last child
+                    slot = slots.pop()
+                    self.used ^= 1 << slot.world_vertex
+                    del assigned[u]
+                    # Template-equivalent vertices would only repeat this
+                    # branch's classes.
+                    if len(tclass) > 1:
+                        keep = ~_mask(slot.members)
+                        for u2 in tclass:
+                            if u2 != u and u2 not in assigned:
+                                jc[u2] &= keep
+                entry = next(entries, None)
+                if entry is not None:
+                    break
+                stack.pop()
+            else:
+                return
+            rep, members, mult = entry
             assigned[u] = rep
-            self.used |= bit
-            self.slots.append(Slot(u, tclass, rep, members, mult))
-            child = list(jc)
-            child[u] = bit
-            # The prune below may have shrunk u's template siblings.
-            yield from self._recurse(child, tclass)
-            self.slots.pop()
-            self.used ^= bit
-            del assigned[u]
-            # Template-equivalent vertices would only repeat this branch's
-            # classes (a no-op for singleton template classes).
-            keep = ~_mask(members)
-            for u2 in tclass:
-                if u2 != u and u2 not in assigned:
-                    jc[u2] &= keep
+            self.used |= 1 << rep
+            slots.append(Slot(u, tclass, rep, members, mult))
+            # The prune above may have shrunk u's template siblings.
+            jc = list(jc)
+            jc[u] = 1 << rep
+            changed = tclass
+
+
+def _split(cells: list[int], d: int) -> list[int]:
+    """``cells`` refined by the bitset ``d``: ``cell & d``, ``cell & ~d``."""
+    return [piece for cell in cells for piece in (cell & d, cell & ~d) if piece]
+
+
+def _group(labels: dict[int, object]) -> dict[object, int]:
+    """The candidates of each label (``labels`` maps candidate to label),
+    as bitsets."""
+    groups: dict[object, int] = {}
+    for c, label in labels.items():
+        groups[label] = groups.get(label, 0) | 1 << c
+    return groups
 
 
 class _Rule(NamedTuple):
@@ -529,15 +588,14 @@ def solve(problem: Problem, mode: Mode | str, timeout: float = 600.0,
     if timeout <= 0:
         raise ValueError("timeout must be positive")
     start = time.monotonic()
-    searcher = _Searcher(problem, Mode(mode), start + timeout)
     nt = problem.template.vertex_count
     representatives = total = 0
     classes: list[SolutionClass] = []
     status = "completed"
     try:
+        searcher = _Searcher(problem, Mode(mode), start + timeout)
         if nt <= problem.world.vertex_count:
-            for sc in searcher._recurse(_domains(init_candidates(problem)),
-                                        range(nt)):
+            for sc in searcher._classes(_domains(init_candidates(problem))):
                 representatives += 1
                 total += sc.count
                 if on_class is not None:
@@ -547,7 +605,7 @@ def solve(problem: Problem, mode: Mode | str, timeout: float = 600.0,
                 if max_solutions is not None and representatives >= max_solutions:
                     status = "truncated"
                     break
-    except _Stop:
+    except DeadlineExceeded:
         status = "timed_out"
     report = SearchReport(representatives, total, time.monotonic() - start,
                           status)
@@ -633,11 +691,19 @@ def expand_solution_class(sc: SolutionClass):
         image[a], image[b] = c, r
         source[c], source[r] = a, b
 
-    def fill(i: int):
-        if i == len(slots):
-            yield dict(mapping)
-            return
+    def choices(i: int):
+        """Fill slot ``i`` with each of its images in turn, undoing each
+        choice before the next; the last slot yields the full maps."""
         s = slots[i]
+        if i == last:  # no later slot reads its swap or its mark
+            for key, _ in options[i]:
+                if quota[key]:
+                    for m in key[1]:
+                        c = image.get(m, m)
+                        if c not in taken:
+                            mapping[s.template_vertex] = c
+                            yield dict(mapping)
+            return
         r = image.get(s.world_vertex, s.world_vertex)
         for key, own in options[i]:
             if not quota[key]:
@@ -652,10 +718,22 @@ def expand_solution_class(sc: SolutionClass):
                     swap(r, c)
                 taken.add(c)
                 mapping[s.template_vertex] = c
-                yield from fill(i + 1)
+                yield True
                 taken.discard(c)
                 if moved:
                     swap(r, c)
             quota[key] += 1
 
-    yield from fill(0)
+    if not slots:
+        yield {}
+        return
+    last = len(slots) - 1
+    stack = [choices(0)]  # one choice iterator per filled slot
+    while stack:
+        item = next(stack[-1], None)
+        if item is None:
+            stack.pop()
+        elif len(stack) == len(slots):
+            yield item
+        else:
+            stack.append(choices(len(stack)))

@@ -3,7 +3,9 @@
 Everything here is deliberately naive and shares no code with the search
 engine: a recursive brute-force enumerator over all injective assignments,
 a from-the-definition structural-equivalence partitioner, a swap-orbit
-enumerator for interchange counting, and a standalone isomorphism verifier.
+enumerator for interchange counting, a standalone isomorphism verifier,
+and per-candidate groupings of the FE, NC and CE cells (given the pair
+labels, which the caller supplies).
 """
 
 from __future__ import annotations
@@ -141,3 +143,45 @@ def orbit_count(problem: Problem, mapping: dict[int, int],
     target = incidence(mapping)
     return sum(1 for f in brute_force_solutions(problem)
                if incidence(f) == target)
+
+
+def _grouped(items, key) -> set[frozenset[int]]:
+    groups: dict[object, set[int]] = {}
+    for c in items:
+        groups.setdefault(key(c), set()).add(c)
+    return {frozenset(g) for g in groups.values()}
+
+
+def fe_cells(domain: set[int], unmatched, domains: list[set[int]],
+             labels_wrt) -> set[frozenset[int]]:
+    """Full candidate equivalence from its definition: the candidates in
+    ``domain`` grouped by the tuple of their labels with respect to every
+    unmatched vertex ``v``. ``labels_wrt(v, inside)`` labels the candidates
+    ``inside`` (those of ``domain`` in ``domains[v]``); a candidate outside
+    ``domains[v]`` gets a sentinel instead."""
+    outside = object()
+    labels = {v: labels_wrt(v, sorted(domain & domains[v])) for v in unmatched}
+    return _grouped(domain, lambda c: tuple(labels[v].get(c, outside)
+                                            for v in unmatched))
+
+
+def nc_cells(domain: set[int], noncover, domains: list[set[int]]
+             ) -> set[frozenset[int]]:
+    """The candidates in ``domain`` grouped by their membership vector over
+    the domains of the unmatched non-cover vertices."""
+    return _grouped(domain, lambda c: tuple(c in domains[v] for v in noncover))
+
+
+def ce_cells(domain: set[int], labels: dict[int, object], others: set[int],
+             world_class) -> set[frozenset[int]]:
+    """The candidates in ``domain`` grouped by dynamic label; a group that
+    shares a candidate with ``others`` (the other unmatched vertices'
+    domains) is blocked, and the blocked candidates are grouped by world
+    class (``world_class[c]``) instead."""
+    cells, blocked = set(), set()
+    for group in _grouped(domain, labels.__getitem__):
+        if group & others:
+            blocked |= group
+        else:
+            cells.add(group)
+    return cells | _grouped(blocked, world_class.__getitem__)

@@ -2,20 +2,22 @@
 
 import time
 import tracemalloc
+from math import factorial
 
 import pytest
 
 from eqmatch import search
 from eqmatch.graphs import Graph, MultiplexGraph, Problem
-from eqmatch.search import (ALL_MODES, Mode, _domains, _Searcher,
-                            apply_filters, expand_solution_class,
+from eqmatch.search import (ALL_MODES, Mode, _bits, _domains, _propagate,
+                            _Searcher, apply_filters, expand_solution_class,
                             expansion_count_of, next_template_vertex, solve)
 from eqmatch.candidates import (build_candidate_structure, greedy_node_cover,
                                 init_candidates)
 from eqmatch.synth import (cover_problem, plant, random_multiplex_graph,
                            random_problem, star_problem, toy_problem)
 
-from oracles import brute_force_count, brute_force_solutions, verify_mapping
+from oracles import (brute_force_count, brute_force_solutions, ce_cells,
+                     fe_cells, nc_cells, verify_mapping)
 
 TOY_REPRESENTATIVES = {Mode.NE: 18, Mode.TE: 9, Mode.WE: 10, Mode.TEWE: 6,
                        Mode.CE: 5, Mode.FE: 2, Mode.NC: 2}
@@ -61,6 +63,20 @@ def relabelled(rng, g):
                 if m:
                     h.add_edge(perm[u], perm[v], ch, m)
     return h
+
+
+def sparse_triangle_problem(rng, n):
+    """A transitive triangle in a random world of ``n`` vertices and about
+    ``2n`` arcs."""
+    world = Graph(n)
+    for _ in range(2 * n):
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a != b:
+            world.add_edge(a, b)
+    triangle = Graph(3)
+    for a, b in ((0, 1), (1, 2), (0, 2)):
+        triangle.add_edge(a, b)
+    return Problem(triangle, world)
 
 
 class TestModeAgreement:
@@ -176,6 +192,113 @@ class TestExpansion:
                 assert seen == expect, mode
 
 
+def directed_path(n):
+    g = Graph(n)
+    for v in range(n - 1):
+        g.add_edge(v, v + 1)
+    return g
+
+
+def clique(n):
+    g = Graph(n)
+    for a in range(n):
+        for b in range(n):
+            if a != b:
+                g.add_edge(a, b)
+    return g
+
+
+class TestClosedForms:
+    """Exact totals beyond the brute-force oracle's reach. FE, NC and TE do
+    not compress cliques, and TE and NE list the star's maps one by one."""
+
+    CASES = [
+        ("path-20-in-200", lambda: Problem(directed_path(20),
+                                           directed_path(200)),
+         181, ALL_MODES),
+        ("star-8-in-30", lambda: star_problem(8, 30),
+         factorial(30) // factorial(22),
+         (Mode.WE, Mode.TEWE, Mode.CE, Mode.FE, Mode.NC)),
+        ("K6-in-K40", lambda: Problem(clique(6), clique(40)),
+         factorial(40) // factorial(34), (Mode.WE, Mode.TEWE, Mode.CE)),
+    ]
+
+    @pytest.mark.parametrize("name, problem, total, modes", CASES,
+                             ids=[c[0] for c in CASES])
+    def test_total_and_expansions(self, name, problem, total, modes):
+        p = problem()
+        for mode in modes:
+            report, classes = solve(p, mode, timeout=60)
+            assert report.status == "completed", mode
+            assert report.total == total, mode
+            for sc in classes:
+                if sc.count <= 256:
+                    maps = {tuple(sorted(f.items()))
+                            for f in expand_solution_class(sc)}
+                    assert len(maps) == sc.count, mode
+                    assert all(verify_mapping(p, dict(f)) for f in maps)
+
+
+def node_domains(searcher, p, prefix):
+    """The searcher's domains at the node of ``prefix`` (used world vertices
+    stay listed), with its matched state set; ``None`` if one is empty."""
+    jc = _domains(init_candidates(p))
+    for u, c in prefix:
+        jc[u] = 1 << c
+    _propagate(searcher.tnbrs, jc, range(len(jc)))
+    searcher.assigned = dict(prefix)
+    searcher.used = 0
+    for _, c in prefix:
+        searcher.used |= 1 << c
+    return jc if all(jc) else None
+
+
+class TestCellPartitions:
+    def test_builders_match_reference(self, rng):
+        # At the root and below one or two assignments, every unmatched
+        # vertex's cells equal the per-candidate grouping, as sets of sets.
+        split = 0
+        for i in range(40):
+            p = random_problem(rng, template_size=(3, 5), world_size=(6, 10),
+                               channels=(1, 2, 3),
+                               edge_prob=rng.choice([0.3, 0.5]),
+                               self_loops=i % 3 == 0, directed=i % 2 == 0)
+            for mode in (Mode.FE, Mode.NC, Mode.CE):
+                searcher = _Searcher(p, mode, time.monotonic() + 30)
+                _, classes = solve(p, mode, max_solutions=3)
+                prefixes = {tuple((s.template_vertex, s.world_vertex)
+                                  for s in sc.slots[:k])
+                            for sc in classes for k in range(3)} | {()}
+                for prefix in sorted(prefixes):
+                    jc = node_domains(searcher, p, prefix)
+                    if jc is None:
+                        continue
+                    domains = [set(_bits(d)) for d in jc]
+                    unmatched = [v for v in range(len(jc))
+                                 if v not in dict(prefix)]
+                    for u in unmatched:
+                        got = {frozenset(_bits(cell))
+                               for cell in searcher.cells(searcher, u, jc)}
+                        assert got == reference_cells(
+                            searcher, mode, u, jc, domains, unmatched), \
+                            (i, mode, prefix, u)
+                        split += len(domains[u]) - len(got)
+        assert split > 0
+
+
+def reference_cells(searcher, mode, u, jc, domains, unmatched):
+    if mode is Mode.FE:
+        return fe_cells(domains[u], unmatched, domains,
+                        lambda v, inside: searcher._labels_wrt(v, inside, jc))
+    if mode is Mode.NC and searcher.cover <= set(searcher.assigned):
+        return nc_cells(domains[u],
+                        [v for v in unmatched if v not in searcher.cover],
+                        domains)
+    others = set().union(*(domains[v] for v in unmatched if v != u))
+    labels = searcher._labels_wrt(u, sorted(domains[u]), jc)
+    return ce_cells(domains[u], labels, others, searcher.wp.class_of)
+
+
 class TestDegenerateInputs:
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_empty_template(self, mode):
@@ -268,16 +391,7 @@ class TestLimits:
         # A support mask is as wide as the world: a triangle in a sparse
         # 20000-vertex world must not build one for every world vertex
         # before the first deadline check, nor keep them all.
-        n = 20000
-        world = Graph(n)
-        for _ in range(2 * n):
-            a, b = rng.randrange(n), rng.randrange(n)
-            if a != b:
-                world.add_edge(a, b)
-        triangle = Graph(3)
-        for a, b in ((0, 1), (1, 2), (0, 2)):
-            triangle.add_edge(a, b)
-        problem = Problem(triangle, world)
+        problem = sparse_triangle_problem(rng, 20000)
         start = time.monotonic()
         report, _ = solve(problem, Mode.NE, timeout=0.1, collect=False)
         assert report.status == "timed_out"
@@ -289,6 +403,29 @@ class TestLimits:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
+
+    def test_world_partition_within_deadline(self, rng):
+        # Partitioning a 40000-vertex world takes longer than the timeout.
+        problem = sparse_triangle_problem(rng, 40000)
+        for mode in (Mode.WE, Mode.TEWE, Mode.CE):
+            start = time.monotonic()
+            report, _ = solve(problem, mode, timeout=0.2, collect=False)
+            assert report.status == "timed_out", mode
+            assert time.monotonic() - start <= 0.2 + 0.5, mode
+
+    @pytest.mark.parametrize("mode", [Mode.NE, Mode.FE])
+    def test_template_deeper_than_recursion_limit(self, mode):
+        # One search level per vertex of a labelled path, and one
+        # expansion level per slot.
+        n = 1500
+        path = Graph(n, labels=[str(v) for v in range(n)])
+        for v in range(n - 1):
+            path.add_edge(v, v + 1)
+        report, classes = solve(Problem(path, path), mode, timeout=30)
+        assert report.status == "completed"
+        assert report.total == 1
+        assert list(expand_solution_class(classes[0])) == \
+            [{v: v for v in range(n)}]
 
     def test_partial_counts_monotone_in_timeout(self):
         p = star_problem(7, 18)
