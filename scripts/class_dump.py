@@ -5,11 +5,14 @@ The dump covers the toy fixture, the covered path, ``star_problem(5, 9)``
 and ``--count`` seeded random instances (self-loops, one to three channels,
 directed and undirected). For every instance and mode it records the
 report (representatives, total, status), each class's JSON and slots,
-``expansion_count_of``, the first 20 expansions of each class, and the
-classes of a ``max_solutions=2`` run; for every instance it also records
-``apply_filters`` on the prefixes of the first NE classes. Two versions of
-the engine that print the same hash report the same classes, in the same
-order, with the same expansions.
+``expansion_count_of``, the first 20 expansions of each class, the class's
+solution-induced subgraph with and without the template
+(``induce_subgraph(...).to_json()``) and the DOT text of the compressed
+one, and the classes of a ``max_solutions=2`` run; for every instance it
+also records ``apply_filters`` on the prefixes of the first NE classes.
+Two versions of the engine that print the same hash report the same
+classes, in the same order, with the same expansions and the same
+reports.
 
     PYTHONPATH=src python scripts/class_dump.py --count 150
 """
@@ -21,6 +24,7 @@ import random
 from itertools import islice
 
 from eqmatch.candidates import init_candidates
+from eqmatch.reporting import compress, export_dot, induce_subgraph
 from eqmatch.search import (ALL_MODES, Mode, apply_filters,
                             expand_solution_class, expansion_count_of, solve)
 from eqmatch.synth import cover_problem, random_problem, star_problem, toy_problem
@@ -41,7 +45,8 @@ def instances(count: int):
             planted=i % 5 != 4, self_loops=i % 3 == 0, directed=i % 2 == 0)
 
 
-def class_record(sc) -> dict:
+def class_record(problem, sc) -> dict:
+    induced = induce_subgraph(problem.world, sc, problem.template)
     return {
         "json": sc.to_json(),
         "slots": [[s.template_vertex, list(s.template_class), s.world_vertex,
@@ -49,6 +54,9 @@ def class_record(sc) -> dict:
         "expansion_count": expansion_count_of(sc),
         "expansions": [sorted(f.items()) for f in
                        islice(expand_solution_class(sc), EXPANSIONS)],
+        "induced": induced.to_json(),
+        "induced_untemplated": induce_subgraph(problem.world, sc).to_json(),
+        "dot": export_dot(compress(induced)),
     }
 
 
@@ -59,7 +67,7 @@ def records(name: str, problem):
                "representatives": report.representatives,
                "total": str(report.total), "status": report.status}
         for sc in classes:
-            yield class_record(sc)
+            yield class_record(problem, sc)
         report, classes = solve(problem, mode, max_solutions=2)
         yield {"truncated": [report.representatives, str(report.total),
                              report.status, [sc.to_json() for sc in classes]]}

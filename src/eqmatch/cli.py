@@ -3,8 +3,9 @@
 Single runs print a JSON report to stdout; counts are serialized as decimal
 strings since they may exceed native integer width. Suites read a CSV
 manifest (``name,template,world,format``), fan instances out over a process
-pool, and write one CSV row per (instance, mode) plus per-mode aggregate
-rows with the fully-enumerated proportion and mean compression rate.
+pool, and write one CSV row per (instance, mode) as it arrives, then
+per-mode aggregate rows with the fully-enumerated proportion and mean
+compression rate.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -131,7 +133,9 @@ _FIELDS = ["instance", "mode", "representatives", "total", "wall_time_s",
 def run_suite(suite_dir: Path, manifest: Path, out_csv: Path,
               modes=ALL_MODES, timeout: float = 600.0,
               jobs: int | None = None) -> int:
-    """Run every manifest instance under every mode; write rows + aggregates."""
+    """Run every manifest instance under every mode. Each row is written
+    and flushed as it arrives, in manifest order; the aggregates follow the
+    last row."""
     suite_dir = Path(suite_dir)
     entries = []
     with open(manifest, newline="") as fh:
@@ -142,16 +146,19 @@ def run_suite(suite_dir: Path, manifest: Path, out_csv: Path,
              for (name, t, w, fmt) in entries for mode in modes]
     if jobs is None:
         jobs = os.cpu_count() or 1
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_suite_entry, tasks))
-    else:
-        rows = [_suite_entry(t) for t in tasks]
-    with open(out_csv, "w", newline="") as fh:
+    with open(out_csv, "w", newline="") as fh, ExitStack() as stack:
         writer = csv.DictWriter(fh, fieldnames=_FIELDS, restval="")
         writer.writeheader()
-        for row in rows:
+        if jobs > 1 and len(tasks) > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            results = pool.map(_suite_entry, tasks)
+        else:
+            results = map(_suite_entry, tasks)
+        rows = []
+        for row in results:  # each row is on disk before the next is awaited
             writer.writerow(row)
+            fh.flush()
+            rows.append(row)
         for mode in modes:
             mrows = [r for r in rows if r["mode"] == Mode(mode).value
                      and not r["status"].startswith("error")]

@@ -9,6 +9,12 @@ either subgraph as DOT text.
 A world vertex can appear in several slots' interchange classes; it is
 colored by the first such slot, and the full slot list is kept as a merge
 log so no membership information is lost.
+
+A class report costs one pass over the slot members (colors and merge log)
+plus one pass over the participants' world out-arcs. Each arc is decided
+by a per-class table of template requirements between slots, built from the
+template's arcs, and ``dominates`` runs once per distinct (world edge,
+requirement) pair within the call.
 """
 
 from __future__ import annotations
@@ -80,27 +86,46 @@ def induce_subgraph(world: MultiplexGraph, sc: SolutionClass,
     between the endpoints' colors; without the template every edge among
     participants is kept.
     """
+    slots = sc.slots
     color_of: dict[int, int] = {}
     merge: dict[int, list[int]] = {}
-    labels: dict[int, str] = {}
-    for i, slot in enumerate(sc.slots):
-        labels[i] = str(slot.template_vertex)
+    for i, slot in enumerate(slots):
         for c in slot.members:
-            color_of.setdefault(c, i)
-            merge.setdefault(c, []).append(i)
+            log = merge.get(c)
+            if log is None:
+                color_of[c] = i
+                merge[c] = [i]
+            else:
+                log.append(i)
+    labels = {i: str(slot.template_vertex) for i, slot in enumerate(slots)}
     vertices = tuple(sorted(color_of))
     edges: list[tuple[int, int]] = []
-    for a in vertices:
-        for b, mult in world.out[a].items():
-            if b not in color_of:
+    out = world.out
+    if template is None:
+        for a in vertices:
+            edges.extend((a, b) for b in out[a] if b in color_of)
+    else:
+        # need[i][j]: the template edge from slot i's vertex to slot j's,
+        # built from the template's arcs rather than from all slot pairs.
+        slot_of = {slot.template_vertex: i for i, slot in enumerate(slots)}
+        need = [{slot_of[v]: req for v, req in
+                 template.out[slot.template_vertex].items() if v in slot_of}
+                for slot in slots]
+        supports: dict[tuple, bool] = {}  # (world edge, requirement) -> dominates
+        for a in vertices:
+            row = need[color_of[a]]
+            if not row:
                 continue
-            if template is not None:
-                t1 = sc.slots[color_of[a]].template_vertex
-                t2 = sc.slots[color_of[b]].template_vertex
-                req = template.edge(t1, t2)
-                if req is None or not dominates(mult, req):
+            for b, mult in out[a].items():
+                req = row.get(color_of.get(b))
+                if req is None:
                     continue
-            edges.append((a, b))
+                key = (mult, req)
+                ok = supports.get(key)
+                if ok is None:
+                    ok = supports[key] = dominates(mult, req)
+                if ok:
+                    edges.append((a, b))
     return ColoredSubgraph(directed, vertices, color_of, labels,
                            tuple(sorted(edges)),
                            {v: tuple(s) for v, s in merge.items()})

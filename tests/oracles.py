@@ -4,8 +4,9 @@ Everything here is deliberately naive and shares no code with the search
 engine: a recursive brute-force enumerator over all injective assignments,
 a from-the-definition structural-equivalence partitioner, a swap-orbit
 enumerator for interchange counting, a standalone isomorphism verifier,
-and per-candidate groupings of the FE, NC and CE cells (given the pair
-labels, which the caller supplies).
+per-candidate groupings of the FE, NC and CE cells (given the pair
+labels, which the caller supplies), and a per-arc rule for the
+solution-induced subgraph of a class.
 """
 
 from __future__ import annotations
@@ -185,3 +186,37 @@ def ce_cells(domain: set[int], labels: dict[int, object], others: set[int],
         else:
             cells.add(group)
     return cells | _grouped(blocked, world_class.__getitem__)
+
+
+def induced_subgraph_fields(world: MultiplexGraph, slots,
+                            template: MultiplexGraph | None = None) -> dict:
+    """The solution-induced subgraph of a class, one world arc at a time.
+
+    A vertex participates when some slot lists it, and its colour is the
+    first such slot; its merge log lists every such slot. An arc between
+    participants is kept when there is no template, or when the world edge
+    dominates the template edge between the template vertices of the two
+    colours. ``dropped`` counts the arcs lost to dominance alone (the
+    template has an edge, but a smaller one than required)."""
+    members = [set(s.members) for s in slots]
+    merge_log = {c: tuple(i for i, ms in enumerate(members) if c in ms)
+                 for c in range(world.vertex_count)}
+    merge_log = {c: log for c, log in merge_log.items() if log}
+    color_of = {c: log[0] for c, log in merge_log.items()}
+    edges, dropped = [], 0
+    for a in sorted(color_of):
+        for b in sorted(color_of):
+            have = world.edge(a, b)
+            if have is None:
+                continue
+            if template is not None:
+                need = template.edge(slots[color_of[a]].template_vertex,
+                                     slots[color_of[b]].template_vertex)
+                if need is None:
+                    continue
+                if not edge_ok(have, need):
+                    dropped += 1
+                    continue
+            edges.append((a, b))
+    return {"vertices": tuple(sorted(color_of)), "color_of": color_of,
+            "edges": tuple(edges), "merge_log": merge_log, "dropped": dropped}

@@ -237,6 +237,36 @@ class TestSuite:
         assert [r["mode"] for r in aggs] == ["ne", "fe"]
         assert all(r["fully_enumerated_proportion"] == "1" for r in aggs)
 
+    def test_rows_stream_before_the_suite_ends(self, capsys, tmp_path,
+                                              data_dir, monkeypatch):
+        # ``_suite_entry`` catches only ``Exception``, so this ends the run
+        # on the last instance; the rows before it must already be written.
+        class Abort(BaseException):
+            pass
+
+        bad_template = tmp_path / "bad_template.lad"
+        bad_template.write_text("3\n0\n0\n0\n")
+        real_solve = cli.solve
+
+        def solve(problem, *args, **kwargs):
+            if problem.template.edge_count() == 0:
+                raise Abort
+            return real_solve(problem, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve", solve)
+        manifest = self.write_manifest(tmp_path, [
+            {"name": "toy", "template": "fan_template.lad",
+             "world": "fan_world.lad", "format": "lad"},
+            {"name": "bad", "template": str(bad_template),
+             "world": "fan_world.lad", "format": "lad"}])
+        out = tmp_path / "out.csv"
+        with pytest.raises(Abort):
+            main(["--suite", str(data_dir), "--manifest", str(manifest),
+                  "--out", str(out), "--modes", "ne,fe", "--jobs", "1"])
+        rows = list(csv.DictReader(open(out)))
+        assert [(r["instance"], r["mode"], r["total"]) for r in rows] == \
+            [("toy", "ne", "18"), ("toy", "fe", "18")]
+
     def test_mode_subset(self, capsys, tmp_path, data_dir):
         manifest = self.write_manifest(tmp_path, [
             {"name": "toy", "template": "fan_template.lad",

@@ -1,12 +1,17 @@
 """Solution-induced subgraphs, supernode compression, Venn summaries, DOT."""
 
+import random
+
 import pytest
 
 from eqmatch.candidates import init_candidates
+from eqmatch.graphs import Graph, Problem
 from eqmatch.reporting import (ColoredSubgraph, compress, export_dot,
                                induce_subgraph, venn_summary)
-from eqmatch.search import Mode, apply_filters, solve
-from eqmatch.synth import cover_problem, toy_problem
+from eqmatch.search import ALL_MODES, Mode, apply_filters, solve
+from eqmatch.synth import cover_problem, random_problem, toy_problem
+
+from oracles import induced_subgraph_fields
 
 
 def toy_ce_class():
@@ -47,6 +52,57 @@ class TestInduceSubgraph:
         p = toy_problem()
         csg = induce_subgraph(p.world, toy_ce_class())
         assert (3, 4) in csg.edges
+
+
+class TestInduceSubgraphReference:
+    """``induce_subgraph`` against the per-arc rule in ``oracles``."""
+
+    @staticmethod
+    def problems():
+        rng = random.Random(0x5E)
+        for i in range(40):
+            yield random_problem(
+                rng, template_size=(3, 5), world_size=(6, 10),
+                channels=(1, 2, 3), edge_prob=rng.choice([0.3, 0.45]),
+                self_loops=i % 3 == 0, directed=i % 2 == 0)
+
+    def test_matches_per_arc_rule_in_every_mode(self):
+        classes = dropped = 0
+        for p in self.problems():
+            for mode in ALL_MODES:
+                _, found = solve(p, mode, timeout=30)
+                for sc in found:
+                    classes += 1
+                    for template in (p.template, None):
+                        want = induced_subgraph_fields(p.world, sc.slots,
+                                                       template)
+                        dropped += want["dropped"]
+                        got = induce_subgraph(p.world, sc, template)
+                        assert got.vertices == want["vertices"]
+                        assert got.color_of == want["color_of"]
+                        assert got.edges == want["edges"]
+                        assert got.merge_log == want["merge_log"]
+                        ref = ColoredSubgraph(True, want["vertices"],
+                                              want["color_of"],
+                                              got.color_labels,
+                                              want["edges"],
+                                              want["merge_log"])
+                        assert export_dot(compress(got)) == \
+                            export_dot(compress(ref))
+        assert classes > 1000
+        assert dropped > 0  # multiplicity dominance decided some arcs
+
+    def test_labelled_path_2000_is_one_class(self):
+        n = 2000
+        path = Graph(n, labels=[str(v) for v in range(n)])
+        for v in range(n - 1):
+            path.add_edge(v, v + 1)
+        report, classes = solve(Problem(path, path), Mode.NE, timeout=30)
+        assert report.status == "completed"
+        assert len(classes) == 1
+        csg = induce_subgraph(path, classes[0], path)
+        assert csg.vertices == tuple(range(n))
+        assert csg.edges == tuple((v, v + 1) for v in range(n - 1))
 
 
 class TestCompress:

@@ -1,5 +1,6 @@
 """The equivalence-aware tree search across all seven modes."""
 
+import random
 import time
 import tracemalloc
 from math import factorial
@@ -237,6 +238,60 @@ class TestClosedForms:
                             for f in expand_solution_class(sc)}
                     assert len(maps) == sc.count, mode
                     assert all(verify_mapping(p, dict(f)) for f in maps)
+
+
+def connected_template(rng, n, extra_prob, directed):
+    """A random spanning tree on ``n`` vertices plus random extra edges,
+    each edge oriented at random (both ways when undirected)."""
+    g = Graph(n)
+
+    def add(u, v):
+        a, b = (u, v) if rng.random() < 0.5 else (v, u)
+        g.add_edge(a, b)
+        if not directed:
+            g.add_edge(b, a)
+
+    for v in range(1, n):
+        add(rng.randrange(v), v)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < extra_prob:
+                add(u, v)
+    return g
+
+
+class TestNetworkxCrossCheck:
+    """Totals in 50-150-vertex worlds against networkx's VF2 monomorphism
+    count, far beyond the brute-force oracle's reach."""
+
+    def test_totals_match_vf2(self):
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import DiGraphMatcher
+
+        def digraph(g):
+            d = nx.DiGraph()
+            d.add_nodes_from(range(g.vertex_count))
+            d.add_edges_from((u, v) for u in range(g.vertex_count)
+                             for v in g.out[u])
+            return d
+
+        rng = random.Random(0x4E)
+        for i in range(8):
+            directed = i % 2 == 0
+            nw = rng.randint(50, 150)
+            t = connected_template(rng, rng.randint(4, 6), 0.3, directed)
+            w = random_multiplex_graph(rng, nw, 1, 2.5 / nw,
+                                       max_multiplicity=1, directed=directed)
+            for _ in range(3):
+                plant(rng, t, w)
+            p = Problem(t, w, directed=directed)
+            want = sum(1 for _ in DiGraphMatcher(digraph(w), digraph(t))
+                       .subgraph_monomorphisms_iter())
+            assert want >= 1
+            for mode in ALL_MODES:
+                report, _ = solve(p, mode, timeout=30, collect=False)
+                assert report.status == "completed", (i, mode)
+                assert report.total == want, (i, mode)
 
 
 def node_domains(searcher, p, prefix):
