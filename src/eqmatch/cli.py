@@ -28,6 +28,10 @@ from .search import ALL_MODES, Mode, SolutionClass, solve
 from .reporting import compress, export_dot, induce_subgraph
 
 
+# One encoder for every JSONL line; its text equals ``json.dumps``'s.
+_encode = json.JSONEncoder(check_circular=False).encode
+
+
 @dataclass
 class RunConfig:
     """Everything one single-instance invocation needs."""
@@ -47,6 +51,8 @@ class RunConfig:
     def __post_init__(self):
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
+        if self.max_solutions is not None and self.max_solutions < 1:
+            raise ValueError("max_solutions must be positive")
         self.mode = Mode(self.mode)
 
 
@@ -84,7 +90,7 @@ def run(cfg: RunConfig, out=None) -> int:
         if not first:
             first.append(sc)
         if stream is not None:
-            stream.write(json.dumps(sc.to_json()) + "\n")
+            stream.write(_encode(sc.to_json()) + "\n")
     try:
         report, classes = solve(problem, cfg.mode, timeout=cfg.timeout,
                                 max_solutions=cfg.max_solutions,

@@ -161,11 +161,16 @@ def interchange_count(pairs) -> int:
     classes ``D_j``, the count is
     ``prod_i |C_i|! * prod_j prod_i binom(|D_j| - sum_{k<i} |C_{k,j}|, |C_{i,j}|)``
     where ``C_{i,j}`` collects the members of ``C_i`` mapped into ``D_j``.
-    Only the incidence that occurs is visited.
+    Only the incidence that occurs is visited. A pair of two singletons is
+    skipped: it weighs ``1! * binom(1, 1) = 1``, and an injective map sends
+    no other template vertex into its world class. With trivial partitions
+    (NE) every pair is such a pair.
     """
     incidence: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     for key in pairs:
-        incidence[key] = incidence.get(key, 0) + 1
+        tcls, dcls = key
+        if len(tcls) > 1 or len(dcls) > 1:
+            incidence[key] = incidence.get(key, 0) + 1
     result = 1
     for tcls in {tcls for tcls, _ in incidence}:
         result *= factorial(len(tcls))
@@ -180,7 +185,12 @@ def interchange_count(pairs) -> int:
 def count_tewe(problem: Problem, mapping: dict[int, int],
                template_partition: Partition, world_partition: Partition) -> int:
     """Count isomorphisms reachable from ``mapping`` by template/world swaps
-    (see :func:`interchange_count`)."""
+    (see :func:`interchange_count`, which skips singleton pairs).
+
+    Raises ``ValueError`` unless ``mapping`` is a subgraph isomorphism. The
+    check reads one world dict entry per template arc and calls
+    ``dominates`` only where the world tuple differs from the template's;
+    an equal tuple always dominates."""
     if not is_subgraph_isomorphism(problem, mapping):
         raise ValueError("mapping is not a subgraph isomorphism")
     tp, wp = template_partition, world_partition

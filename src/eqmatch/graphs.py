@@ -277,21 +277,29 @@ def degree_vector(g: MultiplexGraph, v: int) -> list[tuple[int, int]]:
 def is_subgraph_isomorphism(problem: Problem, mapping: dict[int, int]) -> bool:
     """Check that ``mapping`` is injective, total, and edge-preserving.
 
-    Multiplex edges require per-channel multiplicity dominance.
+    Multiplex edges require per-channel multiplicity dominance. Each
+    template arc costs one dict lookup in the world; ``dominates`` runs
+    only when the world tuple differs from the template's, since an equal
+    tuple always dominates. A key outside the template's vertices makes
+    the map not total.
     """
     t, w = problem.template, problem.world
     if len(mapping) != t.vertex_count:
         return False
     if len(set(mapping.values())) != len(mapping):
         return False
-    for v, img in mapping.items():
-        if not 0 <= img < w.vertex_count:
+    nw, wout, tlabels, wlabels = w.vertex_count, w.out, t.labels, w.labels
+    image = mapping.get  # None for a template vertex the map lacks
+    for u, arcs in enumerate(t.out):
+        img = image(u)
+        if img is None or not 0 <= img < nw:
             return False
-        lbl = t.label(v)
-        if lbl is not None and w.label(img) != lbl:
+        if (tlabels is not None and tlabels[u] is not None
+                and (wlabels is None or wlabels[img] != tlabels[u])):
             return False
-    for u in range(t.vertex_count):
-        for v, req in t.out[u].items():
-            if not dominates(w.edge(mapping[u], mapping[v]), req):
+        reached = wout[img]
+        for v, req in arcs.items():
+            edge = reached.get(image(v))
+            if edge != req and not dominates(edge, req):
                 return False
     return True

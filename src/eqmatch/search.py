@@ -587,6 +587,8 @@ def solve(problem: Problem, mode: Mode | str, timeout: float = 600.0,
     """
     if timeout <= 0:
         raise ValueError("timeout must be positive")
+    if max_solutions is not None and max_solutions < 1:
+        raise ValueError("max_solutions must be positive")
     start = time.monotonic()
     nt = problem.template.vertex_count
     representatives = total = 0

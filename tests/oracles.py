@@ -5,11 +5,15 @@ engine: a recursive brute-force enumerator over all injective assignments,
 a from-the-definition structural-equivalence partitioner, a swap-orbit
 enumerator for interchange counting, a standalone isomorphism verifier,
 per-candidate groupings of the FE, NC and CE cells (given the pair
-labels, which the caller supplies), and a per-arc rule for the
-solution-induced subgraph of a class.
+labels, which the caller supplies), a per-arc rule for the
+solution-induced subgraph of a class, a per-arc isomorphism checker and
+an interchange count that treats singleton classes like any other.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from math import factorial, prod
 
 from eqmatch.graphs import MultiplexGraph, Problem
 
@@ -39,6 +43,51 @@ def verify_mapping(problem: Problem, mapping: dict[int, int]) -> bool:
             if not edge_ok(w.edge(mapping[u], mapping[v]), t.edge(u, v)):
                 return False
     return True
+
+
+def iso_per_arc(problem: Problem, mapping: dict) -> bool:
+    """Subgraph isomorphism, one template arc at a time: the keys are
+    exactly the template's vertices, the images are distinct world
+    vertices, labels agree, and each template arc's world arc carries at
+    least its multiplicity in every channel (compared through ``zip``; a
+    missing world arc carries zero)."""
+    t, w = problem.template, problem.world
+    if set(mapping) != set(range(t.vertex_count)):
+        return False
+    images = list(mapping.values())
+    if len(set(images)) != len(images):
+        return False
+    if not all(0 <= c < w.vertex_count for c in images):
+        return False
+    if any(t.label(u) is not None and w.label(c) != t.label(u)
+           for u, c in mapping.items()):
+        return False
+    for u in range(t.vertex_count):
+        for v, req in t.out[u].items():
+            have = w.out[mapping[u]].get(mapping[v], (0,) * t.channels)
+            if any(h < r for h, r in zip(have, req)):
+                return False
+    return True
+
+
+def interchange_reference(pairs) -> int:
+    """The interchange count of one (template class, world class) pair per
+    template vertex, every pair weighed alike: ``prod_i |C_i|!`` times, for
+    each world class ``D``, the ways to give the template classes disjoint
+    member sets of the sizes ``k_i`` they occupy in it,
+    ``|D|! / ((|D| - sum_i k_i)! prod_i k_i!)``."""
+    incidence = Counter(pairs)
+    result = prod(factorial(len(tcls)) for tcls in {t for t, _ in incidence})
+    sizes: dict[tuple, list[int]] = {}
+    for (_, dcls), k in incidence.items():
+        sizes.setdefault(dcls, []).append(k)
+    for dcls, ks in sizes.items():
+        rest = len(dcls) - sum(ks)
+        if rest < 0:
+            return 0
+        result *= factorial(len(dcls)) // (
+            factorial(rest) * prod(factorial(k) for k in ks))
+    return result
 
 
 def brute_force_solutions(problem: Problem) -> list[dict[int, int]]:

@@ -7,10 +7,10 @@ import pytest
 
 from eqmatch import cli
 from eqmatch.cli import load_problem, main
-from eqmatch.graphs import serialize_multiplex_edgelist
+from eqmatch.graphs import serialize_lad, serialize_multiplex_edgelist
 from eqmatch.reporting import compress, export_dot, induce_subgraph
-from eqmatch.search import Mode, Slot, SolutionClass
-from eqmatch.synth import toy_problem
+from eqmatch.search import ALL_MODES, Mode, Slot, SolutionClass, solve
+from eqmatch.synth import cover_problem, toy_problem
 
 
 @pytest.fixture
@@ -70,6 +70,35 @@ class TestSingleRun:
         for rec in lines:
             for tv, members in rec["assignments"]:
                 assert isinstance(tv, int) and isinstance(members, list)
+
+    @pytest.mark.parametrize("mode", [m.value for m in ALL_MODES])
+    def test_solutions_lines_equal_json_dumps(self, capsys, tmp_path,
+                                              toy_paths, mode):
+        cover = cover_problem()
+        cover_paths = (tmp_path / "cover_t.lad", tmp_path / "cover_w.lad")
+        cover_paths[0].write_text(serialize_lad(cover.template))
+        cover_paths[1].write_text(serialize_lad(cover.world))
+        for t, w in (toy_paths, cover_paths):
+            out_path = tmp_path / "classes.jsonl"
+            code, _, _ = run_cli(capsys, "--template", str(t), "--world",
+                                 str(w), "--mode", mode,
+                                 "--solutions", str(out_path))
+            assert code == 0
+            _, classes = solve(load_problem(t, w, "lad"), mode)
+            want = "".join(json.dumps(sc.to_json()) + "\n" for sc in classes)
+            assert classes and out_path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_max_solutions_below_one_is_an_error(self, capsys, tmp_path,
+                                                 toy_paths, cap):
+        t, w = toy_paths
+        out_path = tmp_path / "classes.jsonl"
+        code, out, err = run_cli(capsys, "--template", t, "--world", w,
+                                 "--max-solutions", cap,
+                                 "--solutions", str(out_path))
+        assert code == 2
+        assert "max_solutions" in err and out == ""
+        assert not out_path.exists()  # rejected before any file is opened
 
     def test_dump_classes(self, capsys, toy_paths):
         t, w = toy_paths

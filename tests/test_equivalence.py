@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from eqmatch.equivalence import (Partition, count_factorial_lower_bound,
                                  count_tewe, find_equivalence_classes,
-                                 structurally_equivalent)
+                                 interchange_count, structurally_equivalent)
 from eqmatch.graphs import Graph, MultiplexGraph, Problem
 from eqmatch.synth import random_multiplex_graph, random_problem, toy_problem
 
-from oracles import (brute_force_solutions, naive_structural_partition,
-                     orbit_count)
+from oracles import (brute_force_solutions, interchange_reference,
+                     naive_structural_partition, orbit_count)
 
 
 def undirected(n, pairs):
@@ -132,6 +132,8 @@ class TestCountTewe:
         wp = Partition.trivial(7)
         with pytest.raises(ValueError):
             count_tewe(p, {0: 1, 1: 2, 2: 3}, tp, wp)
+        with pytest.raises(ValueError):  # a key outside the template
+            count_tewe(p, {0: 0, 1: 1, 5: 2}, tp, wp)
 
     def test_trivial_partitions_count_one(self):
         p = toy_problem()
@@ -162,6 +164,41 @@ class TestCountTewe:
                                [list(c) for c in wp.classes])
             assert got == want
             done += 1
+
+
+def random_classes(rng, n):
+    """A random partition of ``range(n)`` into classes of 1-3 members, as
+    a dict from each vertex to its class's member tuple."""
+    order = rng.sample(range(n), n)
+    classes = []
+    while order:
+        size = rng.choice([1, 1, 2, 3])
+        classes.append(tuple(sorted(order[:size])))
+        del order[:size]
+    return {v: cls for cls in classes for v in cls}
+
+
+class TestInterchangeCount:
+    def test_singleton_pairs_weigh_one(self):
+        assert interchange_count([((0,), (4,)), ((1,), (2,))]) == 1
+        assert interchange_count([]) == 1
+        # 2! for {1, 2}, C(3, 2) for its world class; the singletons add 1.
+        pairs = [((0,), (9,)), ((1, 2), (3, 4, 5)), ((1, 2), (3, 4, 5)),
+                 ((6,), (7,))]
+        assert interchange_count(pairs) == 2 * 3
+
+    def test_matches_reference_on_mixed_incidences(self, rng):
+        mixed = 0
+        for _ in range(400):
+            nt = rng.randint(1, 7)
+            nw = rng.randint(nt, 10)
+            tclass, wclass = random_classes(rng, nt), random_classes(rng, nw)
+            images = rng.sample(range(nw), nt)
+            pairs = [(tclass[v], wclass[c]) for v, c in enumerate(images)]
+            singles = sum(len(t) == len(d) == 1 for t, d in pairs)
+            mixed += 0 < singles < len(pairs)
+            assert interchange_count(pairs) == interchange_reference(pairs)
+        assert mixed > 100
 
 
 @st.composite

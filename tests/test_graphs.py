@@ -8,9 +8,12 @@ from eqmatch.graphs import (Graph, MultiplexGraph, ParseError, Problem,
                             is_subgraph_isomorphism, parse_lad,
                             parse_multiplex_edgelist, serialize_lad,
                             serialize_multiplex_edgelist)
-from eqmatch.synth import random_multiplex_graph
+from eqmatch.synth import random_multiplex_graph, random_problem, toy_problem
 
+import copy
 import random
+
+from oracles import brute_force_solutions, iso_per_arc
 
 
 @st.composite
@@ -163,3 +166,78 @@ class TestIsSubgraphIsomorphism:
         assert not is_subgraph_isomorphism(Problem(t, w), {0: 0, 1: 1})
         w.add_edge(0, 1, 1, 1)
         assert is_subgraph_isomorphism(Problem(t, w), {0: 0, 1: 1})
+
+    def test_key_outside_the_template_is_not_total(self):
+        p = toy_problem()
+        assert not is_subgraph_isomorphism(p, {0: 0, 1: 1, 5: 2})
+        assert not is_subgraph_isomorphism(p, {0: 0, 1: 1, -1: 2})
+        assert not is_subgraph_isomorphism(p, {5: 0, 1: 1, 2: 2})
+
+    def test_labels(self):
+        t = Graph(2, labels=["a", None])
+        t.add_edge(0, 1)
+        w = Graph(3, labels=["b", "a", "a"])
+        w.add_edge(0, 1)
+        w.add_edge(1, 2)
+        p = Problem(t, w)
+        assert not is_subgraph_isomorphism(p, {0: 0, 1: 1})
+        assert is_subgraph_isomorphism(p, {0: 1, 1: 2})
+        w.labels = None
+        assert not is_subgraph_isomorphism(p, {0: 1, 1: 2})
+
+    def test_matches_per_arc_oracle(self):
+        """Valid maps and perturbed ones on seeded instances with 1-3
+        channels, self-loops and labels. A world arc under a template arc
+        is also reset to equal its requirement, to exceed it in one channel
+        and to fall one short in one channel."""
+        rng = random.Random(0x150)
+        resets = 0
+        verdicts = {True: 0, False: 0}
+
+        def check(p, f):
+            want = iso_per_arc(p, f)
+            assert is_subgraph_isomorphism(p, f) == want, f
+            verdicts[want] += 1
+
+        for i in range(150):
+            p = random_problem(rng, template_size=(2, 5), world_size=(5, 8),
+                               channels=(1, 2, 3), edge_prob=0.4,
+                               self_loops=i % 2 == 0, directed=i % 3 != 0)
+            t, w = p.template, p.world
+            nt, nw = t.vertex_count, w.vertex_count
+            if i % 5 == 0:
+                w.labels = [rng.choice("ab") for _ in range(nw)]
+                t.labels = [rng.choice(["a", "b", None]) for _ in range(nt)]
+            maps = brute_force_solutions(p)[:4]
+            maps += [dict(enumerate(rng.sample(range(nw), nt)))
+                     for _ in range(4)]
+            for f in maps:
+                check(p, f)
+                u, v = rng.sample(range(nt), 2)
+                check(p, {**f, u: f[v], v: f[u]})         # swapped images
+                check(p, {**f, u: f[v]})                  # not injective
+                check(p, {**f, u: nw})                    # outside the world
+                g = dict(f)
+                g[nt] = g.pop(u)                          # key outside
+                check(p, g)
+                arcs = [(a, b, req) for a in range(nt)
+                        for b, req in t.out[a].items()]
+                if not arcs:
+                    continue
+                a, b, req = rng.choice(arcs)
+                k = rng.choice([ch for ch, m in enumerate(req) if m > 0])
+                for ch, delta in ((k, 0), (rng.randrange(len(req)), 1),
+                                  (k, -1)):  # equal, exceeds, falls short
+                    have = list(req)
+                    have[ch] += delta
+                    q = copy.deepcopy(p)
+                    if any(have):
+                        q.world.out[f[a]][f[b]] = tuple(have)
+                        q.world.inn[f[b]][f[a]] = tuple(have)
+                    else:
+                        q.world.out[f[a]].pop(f[b], None)
+                        q.world.inn[f[b]].pop(f[a], None)
+                    resets += 1
+                    check(q, f)
+        assert resets > 300
+        assert min(verdicts.values()) > 100

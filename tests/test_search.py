@@ -493,6 +493,11 @@ class TestLimits:
         assert len(classes) == 5
         assert report.status == "truncated"
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_max_solutions_below_one_rejected(self, cap):
+        with pytest.raises(ValueError):
+            solve(toy_problem(), Mode.NE, max_solutions=cap)
+
     def test_streaming_callback(self):
         got = []
         report, classes = solve(toy_problem(), Mode.FE,
