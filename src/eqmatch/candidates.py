@@ -9,6 +9,8 @@ answers the same equivalence queries implicitly from adjacency.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import ge
 
 from .graphs import Graph, MultiplexGraph, Problem, degree_vector, dominates
 from .equivalence import structurally_equivalent
@@ -26,25 +28,29 @@ def init_candidates(problem: Problem) -> list[frozenset[int]]:
     empty set is a legal result and signals unsatisfiability downstream.
     The tests run once per distinct (label, degrees, self-loop) profile,
     over the world vertices carrying that label, and template vertices of
-    one profile share one immutable set.
+    one profile share one immutable set. Each world vertex keeps one
+    flattened degree tuple, compared with a profile's in C by
+    ``all(map(operator.ge, ...))``; the degree test runs first, since it
+    needs no edge lookup.
     """
     t, w = problem.template, problem.world
-    wdegs = [degree_vector(w, c) for c in range(w.vertex_count)]
+    wdegs = [tuple(chain.from_iterable(degree_vector(w, c)))
+             for c in range(w.vertex_count)]
     by_label: dict[str | None, list[int]] = {}
     for c in range(w.vertex_count):
         by_label.setdefault(w.label(c), []).append(c)
     by_profile: dict[tuple, frozenset[int]] = {}
     csets: list[frozenset[int]] = []
     for u in range(t.vertex_count):
-        profile = (t.label(u), tuple(degree_vector(t, u)), t.edge(u, u))
+        profile = (t.label(u), tuple(chain.from_iterable(degree_vector(t, u))),
+                   t.edge(u, u))
         if profile not in by_profile:
             lbl, tdeg, selfreq = profile
             pool = range(w.vertex_count) if lbl is None else by_label.get(lbl, ())
             by_profile[profile] = frozenset(
                 c for c in pool
-                if (selfreq is None or dominates(w.edge(c, c), selfreq))
-                and all(ci >= ti and co >= to
-                        for (ci, co), (ti, to) in zip(wdegs[c], tdeg)))
+                if all(map(ge, wdegs[c], tdeg))
+                and (selfreq is None or dominates(w.edge(c, c), selfreq)))
         csets.append(by_profile[profile])
     return csets
 

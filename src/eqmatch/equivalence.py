@@ -114,10 +114,12 @@ def find_equivalence_classes(g: MultiplexGraph,
     Non-adjacent equivalent vertices share an exact neighbor signature, so a
     hash pass groups them in near-linear time; equivalent vertices that are
     adjacent to each other (mutual-edge pairs) are caught by testing each
-    edge pairwise. The result is independent of visit order. Given a
-    ``deadline`` (a ``time.monotonic()`` value), both passes check it every
-    few hundred vertices and raise :class:`DeadlineExceeded` once it has
-    passed.
+    edge pairwise, and only when the two have equal out- and in-neighbour
+    counts: a swap maps one neighbourhood onto the other, so unequal
+    counts rule the pair out. The result is independent of visit order.
+    Given a ``deadline`` (a ``time.monotonic()`` value), both passes check
+    it every few hundred vertices and raise :class:`DeadlineExceeded` once
+    it has passed.
     """
     def check(v: int) -> None:
         if (deadline is not None and v % _CHECK_EVERY == 0
@@ -134,10 +136,14 @@ def find_equivalence_classes(g: MultiplexGraph,
             uf.union(by_sig[sig], v)
         else:
             by_sig[sig] = v
+    out, inn = g.out, g.inn
     for v in range(n):
         check(v)
-        for w in g.out[v]:
-            if w != v and uf.find(v) != uf.find(w) and structurally_equivalent(g, v, w):
+        nout, nin = len(out[v]), len(inn[v])
+        for w in out[v]:
+            if (w != v and len(out[w]) == nout and len(inn[w]) == nin
+                    and uf.find(v) != uf.find(w)
+                    and structurally_equivalent(g, v, w)):
                 uf.union(v, w)
     groups: dict[int, list[int]] = {}
     for v in range(n):

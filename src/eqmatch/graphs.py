@@ -261,17 +261,14 @@ def serialize_multiplex_edgelist(g: MultiplexGraph) -> str:
 
 
 def degree_vector(g: MultiplexGraph, v: int) -> list[tuple[int, int]]:
-    """Per-channel (in-degree, out-degree) pairs for ``v``, counting multiplicity."""
+    """Per-channel (in-degree, out-degree) pairs for ``v``, counting
+    multiplicity; a self-loop counts in both. Each channel is summed in C,
+    by ``map(sum, ...)`` over the columns of v's edge tuples (a column of
+    zeros gives an isolated vertex ``(0, 0)`` per channel)."""
     g._check_vertex(v)
-    ins = [0] * g.channels
-    outs = [0] * g.channels
-    for t in g.inn[v].values():
-        for i, m in enumerate(t):
-            ins[i] += m
-    for t in g.out[v].values():
-        for i, m in enumerate(t):
-            outs[i] += m
-    return list(zip(ins, outs))
+    zero = (0,) * g.channels
+    return list(zip(map(sum, zip(zero, *g.inn[v].values())),
+                    map(sum, zip(zero, *g.out[v].values()))))
 
 
 def is_subgraph_isomorphism(problem: Problem, mapping: dict[int, int]) -> bool:

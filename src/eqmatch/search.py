@@ -39,17 +39,22 @@ template's size is not bounded by Python's recursion limit.
 One filter prunes the candidates: ``init_candidates`` applies the unary
 tests once, and ``_propagate`` keeps the domains arc consistent, from every
 vertex at the root and from the branching vertex's template class below.
+A matched vertex is never revised: its image kept its support when it was
+matched, and stays supported while its neighbours' domains are non-empty.
 
 A domain is a Python ``int`` used as a bitset: bit ``c`` is set when world
 vertex ``c`` is a candidate. ``_support_masks`` gives each distinct
 (template-edge requirement, direction) one ``_Rows`` map, whose entry ``c``
 holds the world neighbours of ``c`` whose edge dominates that requirement.
-A revision of ``y`` against a popped ``x`` ANDs ``jc[y]`` with the OR of
-the masks of x's candidates (one mask when ``x`` is matched), a signature
-part is ``out[c] & jc[u2]``, and a child's domain list shares every int of
-its parent's except the branching vertex's, which becomes ``1 << image``.
-A mask is as wide as the world, so masks are built on first use and
-memoised within ``_ROW_BYTES`` per solve. A world of a few thousand
+The rows of one direction share one ``_Groups`` map, which reads each world
+vertex's arcs once per solve into one mask per distinct edge tuple; a row
+is the OR of the masks whose tuple dominates the requirement. A revision
+of ``y`` against a popped ``x`` ANDs ``jc[y]`` with the OR of the masks of
+x's candidates (one mask when ``x`` is matched), a signature part is
+``out[c] & jc[u2]``, and a child's domain list shares every int of its
+parent's except the branching vertex's, which becomes ``1 << image``. A
+mask is as wide as the world, so rows and groups are built on first use
+and memoised within ``_ROW_BYTES`` per solve. A world of a few thousand
 vertices fits whole; past the budget, a revision sets the bits of the
 masks it lacks in a byte buffer, linear in the arcs it reads.
 Domains kept during search include already-used world vertices (a used
@@ -207,34 +212,63 @@ class _Dominates(dict):
         return ok
 
 
-class _Rows(dict):
+class _Memo(dict):
+    """A per-vertex memo within the solve's byte budget (a one-element list
+    of bytes left, shared by every memo of the solve, zero once spent).
+    An entry is kept until one no longer fits; past that, every entry is
+    rebuilt on each use."""
+
+    def _keep(self, c: int, value, cost: int):
+        if self.budget[0] >= cost:
+            self.budget[0] -= cost
+            self[c] = value
+        else:
+            self.budget[0] = 0
+        return value
+
+
+class _Groups(_Memo):
+    """The world out- (or in-) neighbours of each world vertex, grouped by
+    edge tuple: entry ``c`` maps each distinct tuple ``e`` on c's arcs to
+    the mask of the neighbours ``c2`` with ``adj[c][c2] == e``. Each
+    (vertex, direction) reads its arcs once per solve, and every
+    :class:`_Rows` of that direction shares the groups."""
+
+    def __init__(self, adj, budget: list[int]):
+        super().__init__()
+        self.adj, self.budget = adj, budget
+
+    def __missing__(self, c: int) -> dict:
+        groups: dict[tuple, int] = {}
+        get = groups.get
+        for c2, e in self.adj[c].items():
+            groups[e] = get(e, 0) | 1 << c2
+        # About: the dict and its entry, each int and its entry.
+        cost = 256 + sum(m.bit_length() // 7 + 64 for m in groups.values())
+        return self._keep(c, groups, cost)
+
+
+class _Rows(_Memo):
     """The support masks of one (requirement, direction), keyed by world
     vertex: entry ``c`` holds the world out- (or in-) neighbours of ``c``
-    whose edge dominates the requirement (``ok[e]``).
+    whose edge dominates the requirement (``ok[e]``), the OR of the masks
+    of c's edge-tuple groups that ``ok`` accepts.
 
     A mask is as wide as the highest neighbour it holds, so a full list
-    would take O(|V_w|^2) bits in a large sparse world. Rows are therefore
-    built on first use, for candidates only, and memoised until one no
-    longer fits in ``budget`` (a one-element list of bytes left, shared by
-    the solve's lists, zero once spent); past that a row is rebuilt on
-    every use."""
+    would take O(|V_w|^2) bits in a large sparse world. Rows and groups are
+    therefore built on first use, for candidates only, and memoised within
+    the solve's budget."""
 
-    def __init__(self, adj, ok: _Dominates, budget: list[int]):
+    def __init__(self, groups: _Groups, ok: _Dominates):
         super().__init__()
-        self.adj, self.ok, self.budget = adj, ok, budget
+        self.groups, self.ok, self.budget = groups, ok, groups.budget
 
     def __missing__(self, c: int) -> int:
         ok, m = self.ok, 0
-        for c2, e in self.adj[c].items():
+        for e, g in self.groups[c].items():
             if ok[e]:
-                m |= 1 << c2
-        cost = m.bit_length() // 7 + 128  # about: the int and its entry
-        if self.budget[0] >= cost:
-            self.budget[0] -= cost
-            self[c] = m
-        else:
-            self.budget[0] = 0
-        return m
+                m |= g
+        return self._keep(c, m, m.bit_length() // 7 + 128)
 
     def union(self, cs: list[int]) -> int:
         """The OR of the rows of ``cs``. While the budget lasts, every row
@@ -246,7 +280,7 @@ class _Rows(dict):
             for c in cs:
                 m |= self[c]
             return m
-        ok, adj = self.ok, self.adj
+        ok, adj = self.ok, self.groups.adj
         buf = bytearray((len(adj) + 7) // 8)
         for c in cs:
             row = self.get(c)
@@ -259,14 +293,15 @@ class _Rows(dict):
         return m | int.from_bytes(buf, "little")
 
 
-_ROW_BYTES = 16 << 20  # memoised support masks per solve
+_ROW_BYTES = 16 << 20  # memoised support masks and groups per solve
 
 
 def _support_masks(t: MultiplexGraph, w: MultiplexGraph):
     """World support masks for every template arc, ``(tnbrs, tself)``.
 
-    One :class:`_Rows` is made per distinct (requirement, direction);
-    ``None`` stands for an absent template edge. ``tnbrs[u]`` holds
+    One :class:`_Rows` is made per distinct (requirement, direction), and
+    the rows of one direction share one :class:`_Groups`; ``None`` stands
+    for an absent template edge. ``tnbrs[u]`` holds
     ``(u2, out, in)`` for each template neighbour ``u2`` of ``u``, with the
     requirements ``t.edge(u, u2)`` and ``t.edge(u2, u)``, so that ``out[c]``
     holds the candidates of ``u2`` that an image ``c`` of ``u`` supports
@@ -275,6 +310,7 @@ def _support_masks(t: MultiplexGraph, w: MultiplexGraph):
     cache: dict[tuple, _Rows] = {}
     ok: dict[tuple, _Dominates] = {}
     budget = [_ROW_BYTES]
+    groups = {True: _Groups(w.out, budget), False: _Groups(w.inn, budget)}
 
     def masks(req, out: bool):
         if req is None:
@@ -282,7 +318,7 @@ def _support_masks(t: MultiplexGraph, w: MultiplexGraph):
         if (req, out) not in cache:
             if req not in ok:
                 ok[req] = _Dominates(req)
-            cache[req, out] = _Rows(w.out if out else w.inn, ok[req], budget)
+            cache[req, out] = _Rows(groups[out], ok[req])
         return cache[req, out]
 
     tnbrs, tself = [], []
@@ -295,7 +331,7 @@ def _support_masks(t: MultiplexGraph, w: MultiplexGraph):
 
 
 def _propagate(tnbrs, jc: list[int], changed,
-               deadline: float | None = None) -> None:
+               deadline: float | None = None, matched=()) -> None:
     """Arc consistency, in place, from the vertices in ``changed``.
 
     Every other arc must already be consistent. A popped vertex ``x``
@@ -303,7 +339,15 @@ def _propagate(tnbrs, jc: list[int], changed,
     some candidate of ``x`` supports it, so ``jc[y]`` is intersected with
     the OR of the masks of x's candidates (one mask when ``x`` is matched).
     A neighbour that loses candidates is queued again. Out- and in-support
-    are independent: each may come from a different candidate of ``x``."""
+    are independent: each may come from a different candidate of ``x``.
+
+    The vertices in ``matched`` are never revised. When ``y`` was matched
+    to ``r``, it was popped and every neighbour was revised against
+    ``{r}``; domains only shrink after that, and support holds both ways
+    on an arc, so ``r`` keeps its support while each neighbour's domain is
+    non-empty. An empty neighbour is unmatched, and its node fails on it.
+    The search passes its matched vertices; ``apply_filters`` passes none,
+    since a match given by hand may be inconsistent."""
     queue = dict.fromkeys(changed)  # an ordered set, popped last-in first
     while queue:
         if deadline is not None and time.monotonic() >= deadline:
@@ -312,6 +356,8 @@ def _propagate(tnbrs, jc: list[int], changed,
         xbits = _bits(jc[x])
         unions = {}  # one OR per mask list: neighbours often share lists
         for y, out, inn in tnbrs[x]:
+            if y in matched:
+                continue
             keep = dy = jc[y]
             for rows in (out, inn):
                 if rows is not None:
@@ -503,7 +549,8 @@ class _Searcher:
                     count = prod(s.multiplier for s in slots)
                 yield SolutionClass(self.mode, tuple(slots), count)
             else:
-                _propagate(self.tnbrs, jc, changed, self.deadline)
+                _propagate(self.tnbrs, jc, changed, self.deadline,
+                           assigned)
                 free = ~self.used
                 sizes = {v: (jc[v] & free).bit_count()
                          for v in range(nt) if v not in assigned}

@@ -6,8 +6,9 @@ a from-the-definition structural-equivalence partitioner, a swap-orbit
 enumerator for interchange counting, a standalone isomorphism verifier,
 per-candidate groupings of the FE, NC and CE cells (given the pair
 labels, which the caller supplies), a per-arc rule for the
-solution-induced subgraph of a class, a per-arc isomorphism checker and
-an interchange count that treats singleton classes like any other.
+solution-induced subgraph of a class, a per-arc isomorphism checker,
+an interchange count that treats singleton classes like any other, and
+the unary tests (label, degrees, self-loop) read one arc at a time.
 """
 
 from __future__ import annotations
@@ -68,6 +69,35 @@ def iso_per_arc(problem: Problem, mapping: dict) -> bool:
             if any(h < r for h, r in zip(have, req)):
                 return False
     return True
+
+
+def degrees_per_arc(g: MultiplexGraph) -> list[list[tuple[int, int]]]:
+    """Per vertex, per channel (in-degree, out-degree) with multiplicity,
+    from one walk over the arcs: an arc ``a -> b`` adds its multiplicities
+    to a's out-degrees and b's in-degrees, so a self-loop counts in both.
+    An isolated vertex has ``(0, 0)`` in every channel."""
+    ins = [[0] * g.channels for _ in range(g.vertex_count)]
+    outs = [[0] * g.channels for _ in range(g.vertex_count)]
+    for a in range(g.vertex_count):
+        for b, mult in g.out[a].items():
+            for ch, m in enumerate(mult):
+                outs[a][ch] += m
+                ins[b][ch] += m
+    return [list(zip(i, o)) for i, o in zip(ins, outs)]
+
+
+def unary_candidates(problem: Problem) -> list[set[int]]:
+    """Per template vertex ``u``, the world vertices that pass the unary
+    tests: u's label when it has one, at least u's in- and out-degree in
+    every channel, and a self-loop dominating u's when u has one."""
+    t, w = problem.template, problem.world
+    tdeg, wdeg = degrees_per_arc(t), degrees_per_arc(w)
+    return [{c for c in range(w.vertex_count)
+             if (t.label(u) is None or w.label(c) == t.label(u))
+             and all(wi >= ti and wo >= to
+                     for (wi, wo), (ti, to) in zip(wdeg[c], tdeg[u]))
+             and edge_ok(w.edge(c, c), t.edge(u, u))}
+            for u in range(t.vertex_count)]
 
 
 def interchange_reference(pairs) -> int:

@@ -5,9 +5,31 @@ import pytest
 from eqmatch.candidates import (build_candidate_structure, greedy_node_cover,
                                 init_candidates, is_node_cover,
                                 node_cover_equivalent)
-from eqmatch.graphs import Graph, MultiplexGraph, Problem
+from eqmatch.graphs import Graph, MultiplexGraph, Problem, degree_vector
 from eqmatch.search import apply_filters
-from eqmatch.synth import cover_problem, toy_problem
+from eqmatch.synth import (cover_problem, plant, random_multiplex_graph,
+                           toy_problem)
+
+from oracles import degrees_per_arc, unary_candidates
+
+
+def labelled_multiplex(rng, n, channels, isolated, labels):
+    """A random multiplex graph (multiplicities up to 3, self-loops) on
+    ``n`` vertices, plus ``isolated`` vertices without arcs, labelled from
+    ``labels`` (unlabelled when ``labels`` is None)."""
+    core = random_multiplex_graph(rng, n, channels, rng.choice([0.15, 0.3]),
+                                  max_multiplicity=3, self_loops=True,
+                                  directed=rng.random() < 0.5)
+    size = n + isolated
+    g = MultiplexGraph(size, channels, None if labels is None else
+                       [rng.choice(labels) for _ in range(size)])
+    order = rng.sample(range(size), size)  # isolated vertices anywhere
+    for a in range(n):
+        for b, mult in core.out[a].items():
+            for ch, m in enumerate(mult, start=1):
+                if m:
+                    g.add_edge(order[a], order[b], ch, m)
+    return g, order[n:]
 
 
 class TestInitCandidates:
@@ -50,6 +72,31 @@ class TestInitCandidates:
         t.add_edge(0, 1)
         assert init_candidates(Problem(t, Graph(3)))[0] == set()
 
+    def test_matches_per_arc_oracle(self, rng):
+        nonempty = isolated_seen = 0
+        for i in range(150):
+            k = 1 + i % 3
+            t, _ = labelled_multiplex(rng, rng.randint(2, 5), k,
+                                      rng.randint(0, 1), [None, "a", "b"])
+            w, isolated = labelled_multiplex(
+                rng, rng.randint(5, 10), k, rng.randint(1, 3),
+                None if i % 4 == 0 else ["a", "b", "c"])
+            if i % 2:
+                plant(rng, t, w)
+            for g in (t, w):
+                want = degrees_per_arc(g)
+                assert [degree_vector(g, v)
+                        for v in range(g.vertex_count)] == want
+            for c in isolated:
+                if not w.out[c] and not w.inn[c]:
+                    assert degree_vector(w, c) == [(0, 0)] * k
+                    isolated_seen += 1
+            problem = Problem(t, w)
+            got = init_candidates(problem)
+            assert [set(cs) for cs in got] == unary_candidates(problem), i
+            nonempty += all(got)
+        assert nonempty >= 30 and isolated_seen >= 100
+
 
 class TestApplyFilters:
     def test_toy_reduction(self):
@@ -60,6 +107,13 @@ class TestApplyFilters:
         cs = apply_filters([(0, 3)], init_candidates(p), p)
         assert cs[0] == {3}
         assert cs[1] == {4, 5, 6}
+
+    def test_inconsistent_match_revises_matched_vertices(self):
+        # 3 -> 1 is no world arc: a hand-given match is checked too, and
+        # its wipe-out reaches every vertex.
+        p = toy_problem()
+        assert apply_filters([(0, 3), (1, 1)], init_candidates(p), p) == \
+            [set(), set(), set()]
 
     def test_arc_consistency_prunes_unsupported(self):
         # Template path 0->1->2; world path 0->1 plus isolated 2: vertex 2

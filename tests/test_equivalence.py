@@ -23,6 +23,16 @@ def undirected(n, pairs):
     return g
 
 
+def mutual_pair(forward, backward):
+    """0 -> 1 and 1 -> 0 with the given multiplicities, both seen by 2."""
+    g = MultiplexGraph(3, 1)
+    g.add_edge(0, 1, 1, forward)
+    g.add_edge(1, 0, 1, backward)
+    g.add_edge(2, 0)
+    g.add_edge(2, 1)
+    return g
+
+
 class TestStructurallyEquivalent:
     def test_twins_with_shared_neighbor(self):
         g = undirected(3, [(0, 2), (1, 2)])
@@ -105,6 +115,27 @@ class TestFindEquivalenceClasses:
 
     def test_empty_graph(self):
         assert find_equivalence_classes(Graph(0)).classes == ()
+
+    # Adjacent pairs reach the pairwise test only with equal out- and
+    # in-neighbour counts.
+    @pytest.mark.parametrize("graph, classes", [
+        # K_6: every pair is adjacent, with equal counts.
+        (undirected(6, [(a, b) for a in range(6) for b in range(a + 1, 6)]),
+         [(0, 1, 2, 3, 4, 5)]),
+        # A pendant on 0 gives it one more neighbour than the others.
+        (undirected(7, [(a, b) for a in range(6) for b in range(a + 1, 6)]
+                    + [(0, 6)]),
+         [(0,), (1, 2, 3, 4, 5), (6,)]),
+        # Path 2-0-1-3: 0 and 1 have two neighbours each, not the same ones.
+        (undirected(4, [(2, 0), (0, 1), (1, 3)]), [(0,), (1,), (2,), (3,)]),
+        # 0 -> 1 twice, 1 -> 0 once: equal counts, unequal directions.
+        (mutual_pair(2, 1), [(0,), (1,), (2,)]),
+    ], ids=["k6", "k6-pendant", "path-equal-counts", "mutual-unequal"])
+    def test_prefiltered_pairs(self, graph, classes):
+        got = list(find_equivalence_classes(graph).classes)
+        assert got == classes
+        assert got == sorted(tuple(sorted(grp)) for grp in
+                             naive_structural_partition(graph))
 
 
 class TestCountFactorialLowerBound:

@@ -10,15 +10,16 @@ import pytest
 from eqmatch import search
 from eqmatch.graphs import Graph, MultiplexGraph, Problem
 from eqmatch.search import (ALL_MODES, Mode, _bits, _domains, _propagate,
-                            _Searcher, apply_filters, expand_solution_class,
-                            expansion_count_of, next_template_vertex, solve)
+                            _Searcher, _support_masks, apply_filters,
+                            expand_solution_class, expansion_count_of,
+                            next_template_vertex, solve)
 from eqmatch.candidates import (build_candidate_structure, greedy_node_cover,
                                 init_candidates)
 from eqmatch.synth import (cover_problem, plant, random_multiplex_graph,
                            random_problem, star_problem, toy_problem)
 
 from oracles import (brute_force_count, brute_force_solutions, ce_cells,
-                     fe_cells, nc_cells, verify_mapping)
+                     edge_ok, fe_cells, nc_cells, verify_mapping)
 
 TOY_REPRESENTATIVES = {Mode.NE: 18, Mode.TE: 9, Mode.WE: 10, Mode.TEWE: 6,
                        Mode.CE: 5, Mode.FE: 2, Mode.NC: 2}
@@ -142,6 +143,89 @@ class TestModeAgreement:
             assert reps[Mode.FE] <= reps[Mode.CE] <= reps[Mode.NE]
             assert reps[Mode.TEWE] <= reps[Mode.TE] <= reps[Mode.NE]
             assert reps[Mode.TEWE] <= reps[Mode.WE] <= reps[Mode.NE]
+
+
+class TestSupportRows:
+    def test_rows_match_per_arc_support(self, rng, monkeypatch):
+        # Rows are ORs of edge-tuple groups shared across requirements; each
+        # must still hold exactly the neighbours whose arc dominates its
+        # requirement, memoised, rebuilt or set in the byte buffer.
+        for i in range(20):
+            t = random_multiplex_graph(rng, rng.randint(3, 5), 3, 0.35,
+                                       max_multiplicity=2, self_loops=True,
+                                       directed=i % 2 == 0)
+            w = random_multiplex_graph(rng, rng.randint(8, 12), 3, 0.35,
+                                       max_multiplicity=3, self_loops=True,
+                                       directed=i % 2 == 0)
+            plant(rng, t, w)
+            assert len({e for arcs in w.out for e in arcs.values()}) >= 3
+            n = w.vertex_count
+            for budget in (search._ROW_BYTES, 0, 600):
+                monkeypatch.setattr(search, "_ROW_BYTES", budget)
+                tnbrs, tself = _support_masks(t, w)
+                checks = [(rows, req, out) for u, nbrs in enumerate(tnbrs)
+                          for u2, *pair in nbrs
+                          for rows, req, out in zip(pair, (t.edge(u, u2),
+                                                           t.edge(u2, u)),
+                                                    (True, False))]
+                checks += [(rows, t.edge(u, u), out)
+                           for u, pair in enumerate(tself)
+                           for rows, out in zip(pair, (True, False))]
+                for rows, req, out in checks:
+                    if rows is None:
+                        assert req is None
+                        continue
+                    want = [sum(1 << c2 for c2 in range(n)
+                                if edge_ok(w.edge(c, c2) if out
+                                           else w.edge(c2, c), req))
+                            for c in range(n)]
+                    for c in range(n):
+                        assert rows.union([c]) == want[c], (i, budget)
+                        assert rows[c] == want[c], (i, budget)
+                    cs = rng.sample(range(n), rng.randint(2, n))
+                    expect = 0
+                    for c in cs:
+                        expect |= want[c]
+                    assert rows.union(cs) == expect, (i, budget)
+
+
+class TestPropagate:
+    def test_matched_vertices_need_no_revision(self, rng):
+        # Along the first classes' branches, as the search takes them: each
+        # free candidate of the next vertex is tried, revising with and
+        # without the matched vertices fixed.
+        compared = wiped = 0
+        for i in range(60):
+            p = random_problem(rng, template_size=(3, 6), world_size=(6, 11),
+                               self_loops=i % 3 == 0, directed=i % 2 == 0)
+            nt = p.template.vertex_count
+            tnbrs = _support_masks(p.template, p.world)[0]
+            root = _domains(init_candidates(p))
+            _propagate(tnbrs, root, range(nt))
+            for sc in solve(p, Mode.NE, max_solutions=2)[1]:
+                jc, matched = root, {}
+                for s in sc.slots:
+                    u, nxt = s.template_vertex, None
+                    for c in _bits(jc[u]):
+                        if c in matched.values():
+                            continue
+                        fixed = {**matched, u: c}
+                        skip, full = list(jc), list(jc)
+                        skip[u] = full[u] = 1 << c
+                        _propagate(tnbrs, skip, [u], matched=fixed)
+                        _propagate(tnbrs, full, [u])
+                        free = [v for v in range(nt) if v not in fixed]
+                        if 0 in skip or 0 in full:
+                            wiped += 1
+                            assert any(skip[v] == 0 for v in free), i
+                            assert any(full[v] == 0 for v in free), i
+                        else:
+                            compared += 1
+                            assert all(skip[v] == full[v] for v in free), i
+                        if c == s.world_vertex:
+                            nxt = skip
+                    jc, matched = nxt, {**matched, u: s.world_vertex}
+        assert compared >= 200 and wiped >= 20
 
 
 def check_expansions(p, mode, total):
