@@ -68,12 +68,6 @@ class MultiplexGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.out[u]
 
-    def out_neighbors(self, v: int):
-        return self.out[v].keys()
-
-    def in_neighbors(self, v: int):
-        return self.inn[v].keys()
-
     def label(self, v: int) -> str | None:
         return None if self.labels is None else self.labels[v]
 

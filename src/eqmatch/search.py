@@ -43,18 +43,19 @@ A matched vertex is never revised: its image kept its support when it was
 matched, and stays supported while its neighbours' domains are non-empty.
 
 A domain is a Python ``int`` used as a bitset: bit ``c`` is set when world
-vertex ``c`` is a candidate. ``_support_masks`` gives each distinct
-(template-edge requirement, direction) one ``_Rows`` map, whose entry ``c``
-holds the world neighbours of ``c`` whose edge dominates that requirement.
-The rows of one direction share one ``_Groups`` map, which reads each world
-vertex's arcs once per solve into one mask per distinct edge tuple; a row
-is the OR of the masks whose tuple dominates the requirement. A revision
-of ``y`` against a popped ``x`` ANDs ``jc[y]`` with the OR of the masks of
-x's candidates (one mask when ``x`` is matched), a signature part is
-``out[c] & jc[u2]``, and a child's domain list shares every int of its
-parent's except the branching vertex's, which becomes ``1 << image``. A
-mask is as wide as the world, so rows and groups are built on first use
-and memoised within ``_ROW_BYTES`` per solve. A world of a few thousand
+vertex ``c`` is a candidate. A solve lists the distinct template-edge
+requirements once, for both directions, since every template edge is read
+from both of its ends. ``_support_masks`` keeps one ``_Masks`` memo per
+direction, whose entry ``c`` holds one mask per requirement: the world
+neighbours of ``c`` whose edge dominates it. The entry is built from one
+read of c's arcs, and ``dominates`` is called once per (edge tuple,
+requirement). A ``_Rows`` view picks one requirement's mask from a memo.
+A revision of ``y`` against a popped ``x`` ANDs ``jc[y]`` with the OR of
+the masks of x's candidates (one mask when ``x`` is matched), a signature
+part is ``out[c] & jc[u2]``, and a child's domain list shares every int of
+its parent's except the branching vertex's, which becomes ``1 << image``.
+A mask is as wide as the world, so entries are built on first use and
+memoised within ``_ROW_BYTES`` per solve. A world of a few thousand
 vertices fits whole; past the budget, a revision sets the bits of the
 masks it lacks in a byte buffer, linear in the arcs it reads.
 Domains kept during search include already-used world vertices (a used
@@ -200,133 +201,116 @@ def _domains(csets) -> list[int]:
     return [masks[id(cs)] for cs in csets]
 
 
-class _Dominates(dict):
-    """``dominates(e, req)`` per world edge tuple ``e``, computed once."""
+class _Accepts(dict):
+    """The indices of the requirements ``reqs`` that each world edge tuple
+    dominates, computed once per tuple and shared by both directions."""
 
-    def __init__(self, req):
+    def __init__(self, reqs: list[tuple]):
         super().__init__()
-        self.req = req
+        self.reqs = reqs
 
-    def __missing__(self, e) -> bool:
-        ok = self[e] = dominates(e, self.req)
+    def __missing__(self, e) -> list[int]:
+        ok = self[e] = [i for i, req in enumerate(self.reqs)
+                        if dominates(e, req)]
         return ok
 
 
-class _Memo(dict):
-    """A per-vertex memo within the solve's byte budget (a one-element list
-    of bytes left, shared by every memo of the solve, zero once spent).
-    An entry is kept until one no longer fits; past that, every entry is
-    rebuilt on each use."""
+class _Masks(dict):
+    """The support masks of one direction, keyed by world vertex: entry
+    ``c`` holds, for each requirement ``i`` of the solve, the world out- (or
+    in-) neighbours of ``c`` whose edge dominates it. One read of c's arcs
+    sets each neighbour's bit in every mask its edge tuple is accepted by.
 
-    def _keep(self, c: int, value, cost: int):
+    A mask is as wide as the highest neighbour it holds, so a full table
+    would take O(|V_w|^2) bits in a large sparse world. Entries are
+    therefore built on first use, for candidates only, and memoised within
+    the solve's byte budget (a one-element list of bytes left, shared by
+    both directions, zero once spent). An entry is kept until one no longer
+    fits; past that, every entry is rebuilt on each use."""
+
+    def __init__(self, adj, accepts: _Accepts, budget: list[int]):
+        super().__init__()
+        self.adj, self.accepts, self.budget = adj, accepts, budget
+
+    def __missing__(self, c: int) -> list[int]:
+        masks, accepts = [0] * len(self.accepts.reqs), self.accepts
+        for c2, e in self.adj[c].items():
+            bit = 1 << c2
+            for i in accepts[e]:
+                masks[i] |= bit
+        # About: the list and its entry, each int and its slot.
+        cost = 128 + sum(m.bit_length() // 7 + 36 for m in masks)
         if self.budget[0] >= cost:
             self.budget[0] -= cost
-            self[c] = value
+            self[c] = masks
         else:
             self.budget[0] = 0
-        return value
+        return masks
 
 
-class _Groups(_Memo):
-    """The world out- (or in-) neighbours of each world vertex, grouped by
-    edge tuple: entry ``c`` maps each distinct tuple ``e`` on c's arcs to
-    the mask of the neighbours ``c2`` with ``adj[c][c2] == e``. Each
-    (vertex, direction) reads its arcs once per solve, and every
-    :class:`_Rows` of that direction shares the groups."""
+class _Rows:
+    """The support masks of one (requirement, direction): a view whose
+    entry ``c`` is mask ``i`` of ``masks[c]``."""
 
-    def __init__(self, adj, budget: list[int]):
-        super().__init__()
-        self.adj, self.budget = adj, budget
+    def __init__(self, masks: _Masks, i: int):
+        self.masks, self.i = masks, i
 
-    def __missing__(self, c: int) -> dict:
-        groups: dict[tuple, int] = {}
-        get = groups.get
-        for c2, e in self.adj[c].items():
-            groups[e] = get(e, 0) | 1 << c2
-        # About: the dict and its entry, each int and its entry.
-        cost = 256 + sum(m.bit_length() // 7 + 64 for m in groups.values())
-        return self._keep(c, groups, cost)
-
-
-class _Rows(_Memo):
-    """The support masks of one (requirement, direction), keyed by world
-    vertex: entry ``c`` holds the world out- (or in-) neighbours of ``c``
-    whose edge dominates the requirement (``ok[e]``), the OR of the masks
-    of c's edge-tuple groups that ``ok`` accepts.
-
-    A mask is as wide as the highest neighbour it holds, so a full list
-    would take O(|V_w|^2) bits in a large sparse world. Rows and groups are
-    therefore built on first use, for candidates only, and memoised within
-    the solve's budget."""
-
-    def __init__(self, groups: _Groups, ok: _Dominates):
-        super().__init__()
-        self.groups, self.ok, self.budget = groups, ok, groups.budget
-
-    def __missing__(self, c: int) -> int:
-        ok, m = self.ok, 0
-        for e, g in self.groups[c].items():
-            if ok[e]:
-                m |= g
-        return self._keep(c, m, m.bit_length() // 7 + 128)
+    def __getitem__(self, c: int) -> int:
+        return self.masks[c][self.i]
 
     def union(self, cs: list[int]) -> int:
         """The OR of the rows of ``cs``. While the budget lasts, every row
-        is (or becomes) a memoised int. Once it is spent, the bits of the
-        rows not memoised are set in one byte buffer, so that the cost
-        stays linear in their arcs instead of growing with |cs| x |V_w|."""
-        m = 0
-        if self.budget[0]:
+        is (or becomes) part of a memoised entry. Once it is spent, the bits
+        of the rows not memoised are set in one byte buffer, so that the
+        cost stays linear in their arcs instead of growing with
+        |cs| x |V_w|."""
+        masks, i, m = self.masks, self.i, 0
+        if masks.budget[0]:
             for c in cs:
-                m |= self[c]
+                m |= masks[c][i]
             return m
-        ok, adj = self.ok, self.groups.adj
+        accepts, adj = masks.accepts, masks.adj
         buf = bytearray((len(adj) + 7) // 8)
         for c in cs:
-            row = self.get(c)
+            row = masks.get(c)
             if row is not None:
-                m |= row
+                m |= row[i]
                 continue
             for c2, e in adj[c].items():
-                if ok[e]:
+                if i in accepts[e]:
                     buf[c2 >> 3] |= 1 << (c2 & 7)
         return m | int.from_bytes(buf, "little")
 
 
-_ROW_BYTES = 16 << 20  # memoised support masks and groups per solve
+_ROW_BYTES = 16 << 20  # memoised support masks per solve
 
 
 def _support_masks(t: MultiplexGraph, w: MultiplexGraph):
     """World support masks for every template arc, ``(tnbrs, tself)``.
 
-    One :class:`_Rows` is made per distinct (requirement, direction), and
-    the rows of one direction share one :class:`_Groups`; ``None`` stands
-    for an absent template edge. ``tnbrs[u]`` holds
-    ``(u2, out, in)`` for each template neighbour ``u2`` of ``u``, with the
-    requirements ``t.edge(u, u2)`` and ``t.edge(u2, u)``, so that ``out[c]``
-    holds the candidates of ``u2`` that an image ``c`` of ``u`` supports
-    through the edge ``u -> u2``; ``tself[u]`` is the ``(out, in)`` pair of
-    u's self-loop."""
-    cache: dict[tuple, _Rows] = {}
-    ok: dict[tuple, _Dominates] = {}
-    budget = [_ROW_BYTES]
-    groups = {True: _Groups(w.out, budget), False: _Groups(w.inn, budget)}
-
-    def masks(req, out: bool):
-        if req is None:
-            return None
-        if (req, out) not in cache:
-            if req not in ok:
-                ok[req] = _Dominates(req)
-            cache[req, out] = _Rows(groups[out], ok[req])
-        return cache[req, out]
+    Every template edge is read from both of its ends, so both directions
+    share one list of the distinct requirements. One :class:`_Rows` view is
+    made per (requirement, direction); ``None`` stands for an absent
+    template edge. ``tnbrs[u]`` holds ``(u2, out, in)`` for each template
+    neighbour ``u2`` of ``u``, with the requirements ``t.edge(u, u2)`` and
+    ``t.edge(u2, u)``, so that ``out[c]`` holds the candidates of ``u2``
+    that an image ``c`` of ``u`` supports through the edge ``u -> u2``;
+    ``tself[u]`` is the ``(out, in)`` pair of u's self-loop."""
+    reqs = list(dict.fromkeys(e for arcs in t.out for e in arcs.values()))
+    accepts, budget = _Accepts(reqs), [_ROW_BYTES]
+    views = {}
+    for out, adj in ((True, w.out), (False, w.inn)):
+        masks = _Masks(adj, accepts, budget)
+        views.update(((req, out), _Rows(masks, i))
+                     for i, req in enumerate(reqs))
+    views[None, True] = views[None, False] = None
 
     tnbrs, tself = [], []
     for u in range(t.vertex_count):
         nbrs = sorted((t.out[u].keys() | t.inn[u].keys()) - {u})
-        tnbrs.append(tuple((u2, masks(t.edge(u, u2), True),
-                            masks(t.edge(u2, u), False)) for u2 in nbrs))
-        tself.append((masks(t.edge(u, u), True), masks(t.edge(u, u), False)))
+        tnbrs.append(tuple((u2, views[t.edge(u, u2), True],
+                            views[t.edge(u2, u), False]) for u2 in nbrs))
+        tself.append((views[t.edge(u, u), True], views[t.edge(u, u), False]))
     return tnbrs, tself
 
 
@@ -354,17 +338,16 @@ def _propagate(tnbrs, jc: list[int], changed,
             raise DeadlineExceeded
         x = queue.popitem()[0]
         xbits = _bits(jc[x])
-        unions = {}  # one OR per mask list: neighbours often share lists
+        unions = {}  # one OR per row view: neighbours often share views
         for y, out, inn in tnbrs[x]:
             if y in matched:
                 continue
             keep = dy = jc[y]
             for rows in (out, inn):
                 if rows is not None:
-                    key = id(rows)
-                    if key not in unions:
-                        unions[key] = rows.union(xbits)
-                    keep &= unions[key]
+                    if rows not in unions:
+                        unions[rows] = rows.union(xbits)
+                    keep &= unions[rows]
             if keep != dy:
                 jc[y] = keep
                 queue[y] = None
@@ -382,11 +365,6 @@ class _Searcher:
         rule = _RULES[mode]
         t = self.t
         self.tnbrs, self.tself = _support_masks(t, self.w)
-        # Vertices with one profile (neighbours, requirements, self-loop)
-        # and one domain get the same FE labels.
-        self.tprofile = [(tuple((u2, t.edge(u, u2), t.edge(u2, u))
-                                for u2, _, _ in nbrs), t.edge(u, u))
-                         for u, nbrs in enumerate(self.tnbrs)]
         self.tdegree = [t.degree(u) for u in range(self.nt)]
         self.tp = (find_equivalence_classes(t, deadline=deadline)
                    if rule.template_partition else Partition.trivial(self.nt))
@@ -461,12 +439,14 @@ class _Searcher:
         a cell by the group of its lowest candidate until it is empty."""
         domain = jc[u]
         cells, size = [domain], domain.bit_count()
-        seen = set()  # one profile and domain refine alike
+        # Vertices with one domain and the same row views (so the same
+        # neighbours, requirements and self-loop) refine alike.
+        seen = set()
         for uprime in range(self.nt):
             if len(cells) == size:  # all singletons
                 break
             d = jc[uprime]
-            key = (self.tprofile[uprime], d)
+            key = (self.tnbrs[uprime], self.tself[uprime], d)
             if uprime in self.assigned or key in seen:
                 continue
             seen.add(key)

@@ -1,8 +1,10 @@
 """The equivalence-aware tree search across all seven modes."""
 
+import copy
 import random
 import time
 import tracemalloc
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -187,6 +189,61 @@ class TestSupportRows:
                     for c in cs:
                         expect |= want[c]
                     assert rows.union(cs) == expect, (i, budget)
+
+
+class TestOneRead:
+    def test_one_read_per_vertex_and_direction(self, rng, monkeypatch):
+        # Both directions share one requirement list and one acceptance
+        # memo: within the budget, a solve reads each world vertex's arcs
+        # at most once per direction, and tests each (edge tuple,
+        # requirement) at most once.
+        reads, calls = Counter(), Counter()
+
+        class Arcs(dict):
+            def items(self):
+                reads[self.key] += 1
+                return super().items()
+
+        def counting(adj, direction):
+            arcs = []
+            for c, nbrs in enumerate(adj):
+                arcs.append(Arcs(nbrs))
+                arcs[-1].key = (c, direction)
+            return arcs
+
+        dominates = search.dominates
+        partition = search.find_equivalence_classes
+
+        def counted_dominates(e, req):
+            calls[e, req] += 1
+            return dominates(e, req)
+
+        def plain_partition(g, deadline=None):
+            # The world partition reads arcs of its own; it gets the plain
+            # world, so that only the support masks are counted.
+            return partition(w if g is counted else g, deadline=deadline)
+
+        monkeypatch.setattr(search, "dominates", counted_dominates)
+        monkeypatch.setattr(search, "find_equivalence_classes", plain_partition)
+        checked = 0
+        for i in range(30):
+            p = random_problem(rng, template_size=(3, 5), world_size=(8, 12),
+                               channels=(3,), edge_prob=0.4,
+                               self_loops=i % 3 == 0, directed=i % 2 == 0)
+            w = p.world
+            assert len({e for arcs in w.out for e in arcs.values()}) >= 3
+            counted = copy.copy(w)
+            counted.out, counted.inn = counting(w.out, "out"), counting(w.inn, "in")
+            q = Problem(p.template, counted, directed=p.directed)
+            for mode in ALL_MODES:
+                total = solve(p, mode, collect=False)[0].total
+                reads.clear()
+                calls.clear()
+                assert solve(q, mode, collect=False)[0].total == total
+                assert max(reads.values(), default=0) <= 1, (i, mode)
+                assert max(calls.values(), default=0) <= 1, (i, mode)
+                checked += bool(reads) and bool(calls)
+        assert checked >= 150
 
 
 class TestPropagate:
