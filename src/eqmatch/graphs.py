@@ -6,7 +6,9 @@ channel and multiplicities in {0, 1}, so the matching core is written once.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 
 
 class ParseError(ValueError):
@@ -46,14 +48,17 @@ class MultiplexGraph:
         if not 0 <= v < self.vertex_count:
             raise IndexError(f"vertex {v} out of range [0, {self.vertex_count})")
 
-    def add_edge(self, u: int, v: int, channel: int = 1, multiplicity: int = 1) -> None:
-        """Add ``multiplicity`` parallel edges u->v in ``channel`` (1-based)."""
+    def _check_arc(self, u: int, v: int, channel: int, multiplicity: int) -> None:
         self._check_vertex(u)
         self._check_vertex(v)
         if not 1 <= channel <= self.channels:
             raise ValueError(f"channel {channel} out of range 1..{self.channels}")
         if multiplicity < 1:
             raise ValueError("multiplicity must be >= 1")
+
+    def add_edge(self, u: int, v: int, channel: int = 1, multiplicity: int = 1) -> None:
+        """Add ``multiplicity`` parallel edges u->v in ``channel`` (1-based)."""
+        self._check_arc(u, v, channel, multiplicity)
         old = self.out[u].get(v, (0,) * self.channels)
         new = list(old)
         new[channel - 1] += multiplicity
@@ -99,11 +104,11 @@ class Graph(MultiplexGraph):
         super().__init__(vertex_count, channels=1, labels=labels)
 
     def add_edge(self, u: int, v: int, channel: int = 1, multiplicity: int = 1) -> None:
-        # Presence semantics: re-adding an existing edge is a no-op.
-        self._check_vertex(u)
-        self._check_vertex(v)
+        # Presence semantics: any valid multiplicity adds the arc once, and
+        # re-adding an existing arc is a no-op.
+        self._check_arc(u, v, channel, multiplicity)
         if v not in self.out[u]:
-            super().add_edge(u, v, channel, 1)
+            self.out[u][v] = self.inn[v][u] = (1,)
 
 
 def dominates(world_edge: tuple[int, ...] | None, template_edge: tuple[int, ...]) -> bool:
@@ -130,48 +135,85 @@ class Problem:
             raise ValueError("template and world must have the same channel count")
 
 
-def parse_lad(text: str, directed: bool = True) -> Graph:
-    """Parse a LAD-format graph: vertex count, then one adjacency line per vertex.
+class _Tokens:
+    """The whitespace-separated tokens of a text, split into rows once.
 
-    Line ``v`` holds the out-degree of ``v`` followed by that many neighbor
-    indices in ``[0, n)``. For undirected inputs each listed edge also
-    inserts its reverse.
+    ``ints`` holds the tokens' values, converted by one ``map(int, ...)``;
+    it stops before the first token that is not an integer. A token's line
+    (and its text) is found by bisecting the running row lengths ``ends``,
+    only when an error names it.
     """
-    tokens: list[tuple[int, str]] = []  # (line number, token)
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        for tok in line.split():
-            tokens.append((lineno, tok))
-    pos = 0
 
-    def next_int(what: str) -> tuple[int, int]:
-        nonlocal pos
-        if pos >= len(tokens):
-            last = tokens[-1][0] if tokens else 1
-            raise ParseError(last, f"truncated file: expected {what}")
-        lineno, tok = tokens[pos]
-        pos += 1
+    def __init__(self, text: str):
+        self.rows = list(map(str.split, text.splitlines()))
+        self.ends = list(accumulate(map(len, self.rows)))
+        self.count = self.ends[-1] if self.ends else 0
         try:
-            return lineno, int(tok)
+            self.ints = list(map(int, chain.from_iterable(self.rows)))
         except ValueError:
-            raise ParseError(lineno, f"malformed token {tok!r}: expected {what}") from None
+            self.ints = []
+            for word in chain.from_iterable(self.rows):
+                try:
+                    self.ints.append(int(word))
+                except ValueError:
+                    break
 
-    _, n = next_int("vertex count")
+    def line(self, i: int) -> int:
+        """The 1-based line of token ``i``."""
+        return bisect_right(self.ends, i) + 1
+
+    def word(self, i: int) -> str:
+        """The text of token ``i``."""
+        row = self.line(i) - 1
+        return self.rows[row][i - self.ends[row] + len(self.rows[row])]
+
+    def stop(self, what: str) -> ParseError:
+        """The error for a reader that needs a token past ``ints``: the
+        token there is malformed, or the text ends (at its last token)."""
+        i = len(self.ints)
+        if i < self.count:
+            return ParseError(self.line(i), f"malformed token {self.word(i)!r}: expected {what}")
+        return ParseError(self.line(i - 1) if i else 1, f"truncated file: expected {what}")
+
+
+def parse_lad(text: str, directed: bool = True) -> Graph:
+    """Parse a LAD-format graph: vertex count, then one adjacency list per vertex.
+
+    Vertex ``v``'s list is its out-degree followed by that many neighbor
+    indices in ``[0, n)``; tokens may wrap across lines, and a repeated arc
+    changes nothing. For undirected inputs each listed edge also inserts
+    its reverse.
+    """
+    toks = _Tokens(text)
+    ints = toks.ints
+    if not ints:
+        raise toks.stop("vertex count")
+    n = ints[0]
     if n < 0:
-        raise ParseError(tokens[0][0], f"negative vertex count {n}")
+        raise ParseError(toks.line(0), f"negative vertex count {n}")
     g = Graph(n)
+    out, inn, one = g.out, g.inn, (1,)
+    pos = 1
     for v in range(n):
-        lineno, deg = next_int(f"out-degree of vertex {v}")
+        if pos == len(ints):
+            raise toks.stop(f"out-degree of vertex {v}")
+        deg = ints[pos]
         if deg < 0:
-            raise ParseError(lineno, f"negative out-degree {deg} for vertex {v}")
-        for _ in range(deg):
-            lineno, w = next_int(f"neighbor of vertex {v}")
+            raise ParseError(toks.line(pos), f"negative out-degree {deg} for vertex {v}")
+        pos += 1
+        nbrs = ints[pos:pos + deg]
+        outv, innv = out[v], inn[v]
+        for i, w in enumerate(nbrs, pos):  # a repeated arc rewrites (1,)
             if not 0 <= w < n:
-                raise ParseError(lineno, f"neighbor index {w} out of range [0, {n})")
-            g.add_edge(v, w)
+                raise ParseError(toks.line(i), f"neighbor index {w} out of range [0, {n})")
+            outv[w] = inn[w][v] = one
             if not directed:
-                g.add_edge(w, v)
-    if pos < len(tokens):
-        raise ParseError(tokens[pos][0], f"unexpected trailing token {tokens[pos][1]!r}")
+                out[w][v] = innv[w] = one
+        if len(nbrs) < deg:
+            raise toks.stop(f"neighbor of vertex {v}")
+        pos += deg
+    if pos < toks.count:
+        raise ParseError(toks.line(pos), f"unexpected trailing token {toks.word(pos)!r}")
     return g
 
 
@@ -196,49 +238,51 @@ def serialize_lad(g: MultiplexGraph, directed: bool = True) -> str:
 def parse_multiplex_edgelist(text: str) -> MultiplexGraph:
     """Parse the multiplex quadruple edge-list format.
 
-    Header ``n K``; then lines ``src dst channel multiplicity`` with
-    multiplicity >= 1 and channel in 1..K. Duplicate (src, dst, channel)
-    lines sum their multiplicities.
+    Header ``n K`` on the first non-blank line; then lines ``src dst
+    channel multiplicity`` with multiplicity >= 1 and channel in 1..K.
+    Blank lines are skipped. Duplicate (src, dst, channel) lines sum their
+    multiplicities.
     """
-    lines = text.splitlines()
-    header_line = 0
-    header: list[str] = []
-    for lineno, line in enumerate(lines, start=1):
-        if line.split():
-            header_line, header = lineno, line.split()
-            break
-    if not header:
+    toks = _Tokens(text)
+    rows, ints = toks.rows, toks.ints
+    if not toks.count:
         raise ParseError(1, "truncated file: expected header 'n K'")
-    if len(header) != 2:
-        raise ParseError(header_line, f"malformed header {' '.join(header)!r}: expected 'n K'")
-    try:
-        n, k = int(header[0]), int(header[1])
-    except ValueError:
-        raise ParseError(header_line, f"malformed header token: expected integers 'n K'") from None
+    head = toks.line(0)
+    if len(rows[head - 1]) != 2:
+        raise ParseError(head, f"malformed header {' '.join(rows[head - 1])!r}: expected 'n K'")
+    if len(ints) < 2:
+        raise toks.stop("integers 'n K'")
+    n, k = ints[0], ints[1]
     if n < 0:
-        raise ParseError(header_line, f"negative vertex count {n}")
+        raise ParseError(head, f"negative vertex count {n}")
     if k < 1:
-        raise ParseError(header_line, f"channel count {k} must be positive")
+        raise ParseError(head, f"channel count {k} must be positive")
+    # Edge quadruples run from token 2 to the first line that is not one
+    # (wrong field count or a malformed token); past them is the error.
+    end = 2 + (len(ints) - 2) // 4 * 4
+    if not set(map(len, rows[head:])) <= {0, 4}:
+        bad = next(r for r in range(head, len(rows)) if len(rows[r]) not in (0, 4))
+        end = min(end, toks.ends[bad - 1])
     g = MultiplexGraph(n, channels=k)
-    for lineno in range(header_line + 1, len(lines) + 1):
-        parts = lines[lineno - 1].split()
-        if not parts:
-            continue
-        if len(parts) != 4:
-            raise ParseError(lineno, "expected 'src dst channel multiplicity'")
-        try:
-            src, dst, channel, mult = (int(p) for p in parts)
-        except ValueError:
-            raise ParseError(lineno, f"malformed token in {' '.join(parts)!r}") from None
+    out, inn, zero = g.out, g.inn, (0,) * k
+    quads = iter(ints[2:end])
+    for pos, src, dst, channel, mult in zip(range(2, end, 4), quads, quads, quads, quads):
         if not 0 <= src < n:
-            raise ParseError(lineno, f"vertex {src} out of range [0, {n})")
+            raise ParseError(toks.line(pos), f"vertex {src} out of range [0, {n})")
         if not 0 <= dst < n:
-            raise ParseError(lineno, f"vertex {dst} out of range [0, {n})")
+            raise ParseError(toks.line(pos), f"vertex {dst} out of range [0, {n})")
         if not 1 <= channel <= k:
-            raise ParseError(lineno, f"channel {channel} out of range 1..{k}")
+            raise ParseError(toks.line(pos), f"channel {channel} out of range 1..{k}")
         if mult < 1:
-            raise ParseError(lineno, f"multiplicity {mult} must be >= 1")
-        g.add_edge(src, dst, channel, mult)
+            raise ParseError(toks.line(pos), f"multiplicity {mult} must be >= 1")
+        new = list(out[src].get(dst, zero))
+        new[channel - 1] += mult
+        out[src][dst] = inn[dst][src] = tuple(new)
+    if end < toks.count:
+        lineno = toks.line(end)
+        if len(rows[lineno - 1]) != 4:
+            raise ParseError(lineno, "expected 'src dst channel multiplicity'")
+        raise toks.stop("'src dst channel multiplicity'")
     return g
 
 

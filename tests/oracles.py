@@ -7,8 +7,10 @@ enumerator for interchange counting, a standalone isomorphism verifier,
 per-candidate groupings of the FE, NC and CE cells (given the pair
 labels, which the caller supplies), a per-arc rule for the
 solution-induced subgraph of a class, a per-arc isomorphism checker,
-an interchange count that treats singleton classes like any other, and
-the unary tests (label, degrees, self-loop) read one arc at a time.
+an interchange count that treats singleton classes like any other,
+the unary tests (label, degrees, self-loop) read one arc at a time, and
+reference LAD and multiplex parsers that read one token (or one line) at
+a time and insert each arc through ``add_edge``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from math import factorial, prod
 
-from eqmatch.graphs import MultiplexGraph, Problem
+from eqmatch.graphs import Graph, MultiplexGraph, ParseError, Problem
 
 
 def edge_ok(world_edge, template_edge) -> bool:
@@ -299,3 +301,97 @@ def induced_subgraph_fields(world: MultiplexGraph, slots,
             edges.append((a, b))
     return {"vertices": tuple(sorted(color_of)), "color_of": color_of,
             "edges": tuple(edges), "merge_log": merge_log, "dropped": dropped}
+
+
+def parse_lad(text: str, directed: bool = True) -> Graph:
+    """Parse a LAD-format graph: vertex count, then one adjacency line per vertex.
+
+    Line ``v`` holds the out-degree of ``v`` followed by that many neighbor
+    indices in ``[0, n)``. For undirected inputs each listed edge also
+    inserts its reverse.
+    """
+    tokens: list[tuple[int, str]] = []  # (line number, token)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for tok in line.split():
+            tokens.append((lineno, tok))
+    pos = 0
+
+    def next_int(what: str) -> tuple[int, int]:
+        nonlocal pos
+        if pos >= len(tokens):
+            last = tokens[-1][0] if tokens else 1
+            raise ParseError(last, f"truncated file: expected {what}")
+        lineno, tok = tokens[pos]
+        pos += 1
+        try:
+            return lineno, int(tok)
+        except ValueError:
+            raise ParseError(lineno, f"malformed token {tok!r}: expected {what}") from None
+
+    _, n = next_int("vertex count")
+    if n < 0:
+        raise ParseError(tokens[0][0], f"negative vertex count {n}")
+    g = Graph(n)
+    for v in range(n):
+        lineno, deg = next_int(f"out-degree of vertex {v}")
+        if deg < 0:
+            raise ParseError(lineno, f"negative out-degree {deg} for vertex {v}")
+        for _ in range(deg):
+            lineno, w = next_int(f"neighbor of vertex {v}")
+            if not 0 <= w < n:
+                raise ParseError(lineno, f"neighbor index {w} out of range [0, {n})")
+            g.add_edge(v, w)
+            if not directed:
+                g.add_edge(w, v)
+    if pos < len(tokens):
+        raise ParseError(tokens[pos][0], f"unexpected trailing token {tokens[pos][1]!r}")
+    return g
+
+
+def parse_multiplex_edgelist(text: str) -> MultiplexGraph:
+    """Parse the multiplex quadruple edge-list format.
+
+    Header ``n K``; then lines ``src dst channel multiplicity`` with
+    multiplicity >= 1 and channel in 1..K. Duplicate (src, dst, channel)
+    lines sum their multiplicities.
+    """
+    lines = text.splitlines()
+    header_line = 0
+    header: list[str] = []
+    for lineno, line in enumerate(lines, start=1):
+        if line.split():
+            header_line, header = lineno, line.split()
+            break
+    if not header:
+        raise ParseError(1, "truncated file: expected header 'n K'")
+    if len(header) != 2:
+        raise ParseError(header_line, f"malformed header {' '.join(header)!r}: expected 'n K'")
+    try:
+        n, k = int(header[0]), int(header[1])
+    except ValueError:
+        raise ParseError(header_line, f"malformed header token: expected integers 'n K'") from None
+    if n < 0:
+        raise ParseError(header_line, f"negative vertex count {n}")
+    if k < 1:
+        raise ParseError(header_line, f"channel count {k} must be positive")
+    g = MultiplexGraph(n, channels=k)
+    for lineno in range(header_line + 1, len(lines) + 1):
+        parts = lines[lineno - 1].split()
+        if not parts:
+            continue
+        if len(parts) != 4:
+            raise ParseError(lineno, "expected 'src dst channel multiplicity'")
+        try:
+            src, dst, channel, mult = (int(p) for p in parts)
+        except ValueError:
+            raise ParseError(lineno, f"malformed token in {' '.join(parts)!r}") from None
+        if not 0 <= src < n:
+            raise ParseError(lineno, f"vertex {src} out of range [0, {n})")
+        if not 0 <= dst < n:
+            raise ParseError(lineno, f"vertex {dst} out of range [0, {n})")
+        if not 1 <= channel <= k:
+            raise ParseError(lineno, f"channel {channel} out of range 1..{k}")
+        if mult < 1:
+            raise ParseError(lineno, f"multiplicity {mult} must be >= 1")
+        g.add_edge(src, dst, channel, mult)
+    return g

@@ -13,6 +13,7 @@ from eqmatch.synth import random_multiplex_graph, random_problem, toy_problem
 import copy
 import random
 
+import oracles
 from oracles import brute_force_solutions, iso_per_arc
 
 
@@ -51,6 +52,15 @@ class TestMultiplexGraph:
             g.add_edge(0, 1, channel=2)
         with pytest.raises(ValueError):
             MultiplexGraph(3).add_edge(0, 1, multiplicity=0)
+        for bad in ({"multiplicity": 0}, {"multiplicity": -1}, {"channel": 2},
+                    {"channel": 0}):
+            with pytest.raises(ValueError):
+                Graph(2).add_edge(0, 1, **bad)
+        g.add_edge(0, 1)
+        for bad in ({"multiplicity": 0}, {"channel": 2}):
+            with pytest.raises(ValueError):
+                g.add_edge(0, 1, **bad)  # a repeated arc is checked too
+        assert g.edge(0, 1) == (1,)
 
     def test_degree_counts_multiplicity_and_loops(self):
         g = MultiplexGraph(2, channels=2)
@@ -136,6 +146,126 @@ class TestMultiplexEdgelist:
     @given(multiplex_graphs())
     def test_round_trip(self, g):
         assert parse_multiplex_edgelist(serialize_multiplex_edgelist(g)) == g
+
+
+def _outcome(parse, text, **kw):
+    """A parse's graph as (type, n, K, out items, inn items), dict order
+    included, or ("error", line)."""
+    try:
+        g = parse(text, **kw)
+    except ParseError as exc:
+        return ("error", exc.line)
+    return (type(g), g.vertex_count, g.channels,
+            [list(d.items()) for d in g.out], [list(d.items()) for d in g.inn])
+
+
+def _valid_text(rng, fmt):
+    """Serialized random graph text. Some texts are reshuffled first: LAD
+    rows get repeated neighbours and tokens rewrapped across lines;
+    multiplex edge lines get shuffled and repeated (their multiplicities
+    sum)."""
+    directed = rng.random() < 0.6
+    g = random_multiplex_graph(rng, rng.randint(0, 8),
+                               1 if fmt == "lad" else rng.randint(1, 3),
+                               edge_prob=rng.choice([0.0, 0.2, 0.5]),
+                               max_multiplicity=3, self_loops=rng.random() < 0.5,
+                               directed=directed)
+    if fmt == "multiplex":
+        head, *lines = serialize_multiplex_edgelist(g).splitlines()
+        if lines and rng.random() < 0.3:
+            lines += rng.sample(lines, rng.randint(1, len(lines)))
+            rng.shuffle(lines)
+        return "\n".join([head] + lines) + "\n"
+    rows = [row.split() for row in serialize_lad(g, directed).splitlines()]
+    if rng.random() < 0.3:
+        for row in rows[1:]:
+            if len(row) > 1 and rng.random() < 0.5:
+                row[1:] = rng.choices(row[1:], k=int(row[0]))
+    lines = [" ".join(row) for row in rows]
+    if rng.random() < 0.2:
+        words = " ".join(lines).split()
+        lines = []
+        while words:
+            cut = rng.randint(1, 4)
+            lines.append(" ".join(words[:cut]))
+            words = words[cut:]
+    return "\n".join(lines) + "\n"
+
+
+def _mutate(rng, text, kind):
+    """``text`` with one fault of ``kind`` (or none, for "none")."""
+    lines = [line.split() for line in text.splitlines()]
+    spots = [(r, i) for r, row in enumerate(lines) for i in range(len(row))]
+    if kind == "blank":
+        lines.insert(rng.randint(0, len(lines)), [" "] if rng.random() < 0.5 else [])
+    elif kind == "insert":
+        lines = lines or [[]]
+        r = rng.randrange(len(lines))
+        lines[r].insert(rng.randint(0, len(lines[r])), str(rng.randint(0, 4)))
+    elif kind != "none" and spots:
+        r, i = rng.choice(spots)
+        if kind == "delete":
+            del lines[r][i]
+        elif kind == "range":
+            n = int(lines[0][0]) if lines[0] else 0
+            lines[r][i] = str(rng.choice([n, n + 1, 4]))
+        else:
+            lines[r][i] = kind
+    return "\n".join(" ".join(row) for row in lines) + "\n"
+
+
+class TestParsersMatchOracle:
+    """The parsers against the token-at-a-time reference parsers of
+    ``oracles``: equal graphs and equal ``inn`` (dict order included) on
+    valid texts, and ``ParseError`` on the same line otherwise."""
+
+    PARSERS = {"lad": (parse_lad, oracles.parse_lad),
+               "multiplex": (parse_multiplex_edgelist,
+                             oracles.parse_multiplex_edgelist)}
+    KINDS = ("none", "none", "x", "-1", "range", "delete", "insert", "blank")
+
+    def test_single_fault_fuzz(self):
+        rng = random.Random(0x70C)
+        seen = {"graph": 0, "error": 0}
+        texts = 0
+        for i in range(2400):
+            fmt = ("lad", "multiplex")[i % 2]
+            text = _mutate(rng, _valid_text(rng, fmt), rng.choice(self.KINDS))
+            texts += 1
+            parse, oracle = self.PARSERS[fmt]
+            for kw in ([{"directed": True}, {"directed": False}]
+                       if fmt == "lad" else [{}]):
+                want = _outcome(oracle, text, **kw)
+                assert _outcome(parse, text, **kw) == want, (text, kw)
+                seen["error" if want[0] == "error" else "graph"] += 1
+        assert texts >= 2000
+        assert min(seen.values()) > 1000, seen
+
+    def test_multi_fault_texts_raise(self):
+        rng = random.Random(0x70D)
+        for i in range(200):
+            fmt = ("lad", "multiplex")[i % 2]
+            text = _valid_text(rng, fmt)
+            for _ in range(rng.randint(2, 3)):
+                text = _mutate(rng, text, rng.choice(("x", "-1")))
+            parse, oracle = self.PARSERS[fmt]
+            with pytest.raises(ParseError) as got:
+                parse(text)
+            assert _outcome(oracle, text) == ("error", got.value.line), text
+
+    def test_first_fault_in_reading_order_is_named(self):
+        for parse, text, line in [
+                (parse_lad, "3\n1 9\nx\n0\n", 2),
+                (parse_lad, "\n\n-2\n", 3),
+                (parse_lad, "2\n2 1\n\n", 2),
+                (parse_lad, "2\n1 x\n1 -1\n", 2),
+                (parse_multiplex_edgelist, "2 1\n0 9 1 1\n0 1\n", 2),
+                (parse_multiplex_edgelist, "2 1\n0 1 1\n0 9 1 1\nx\n", 2),
+                (parse_multiplex_edgelist, "\n2 1\n0 1 1 1\n0 1 x 1\n1 9\n", 4),
+                (parse_multiplex_edgelist, "\n\n2 x\n0 1\n", 3)]:
+            with pytest.raises(ParseError) as got:
+                parse(text)
+            assert got.value.line == line, text
 
 
 class TestProblem:

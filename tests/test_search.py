@@ -149,7 +149,8 @@ class TestModeAgreement:
 
 class TestSupportRows:
     def test_rows_match_per_arc_support(self, rng, monkeypatch):
-        # Rows are ORs of edge-tuple groups shared across requirements; each
+        # Each row is a _Rows view of one mask in its direction's _Masks
+        # entry, which one read of c's arcs fills for every requirement; it
         # must still hold exactly the neighbours whose arc dominates its
         # requirement, memoised, rebuilt or set in the byte buffer.
         for i in range(20):
