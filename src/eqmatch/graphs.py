@@ -7,6 +7,7 @@ channel and multiplicities in {0, 1}, so the matching core is written once.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
@@ -191,8 +192,15 @@ def parse_lad(text: str, directed: bool = True) -> Graph:
     n = ints[0]
     if n < 0:
         raise ParseError(toks.line(0), f"negative vertex count {n}")
-    g = Graph(n)
-    out, inn, one = g.out, g.inn, (1,)
+    if len(ints) > n:
+        g = Graph(n)
+        out, inn = g.out, g.inn
+    else:
+        # Fewer than n + 1 integers cannot hold n out-degrees, so the walk
+        # raises at the text's first fault. Until then it writes into dicts
+        # made for the vertices it reaches, not into n of each.
+        out = inn = defaultdict(dict)
+    one = (1,)
     pos = 1
     for v in range(n):
         if pos == len(ints):
@@ -263,26 +271,34 @@ def parse_multiplex_edgelist(text: str) -> MultiplexGraph:
     if not set(map(len, rows[head:])) <= {0, 4}:
         bad = next(r for r in range(head, len(rows)) if len(rows[r]) not in (0, 4))
         end = min(end, toks.ends[bad - 1])
-    g = MultiplexGraph(n, channels=k)
-    out, inn, zero = g.out, g.inn, (0,) * k
-    quads = iter(ints[2:end])
-    for pos, src, dst, channel, mult in zip(range(2, end, 4), quads, quads, quads, quads):
-        if not 0 <= src < n:
-            raise ParseError(toks.line(pos), f"vertex {src} out of range [0, {n})")
-        if not 0 <= dst < n:
-            raise ParseError(toks.line(pos), f"vertex {dst} out of range [0, {n})")
-        if not 1 <= channel <= k:
-            raise ParseError(toks.line(pos), f"channel {channel} out of range 1..{k}")
-        if mult < 1:
-            raise ParseError(toks.line(pos), f"multiplicity {mult} must be >= 1")
-        new = list(out[src].get(dst, zero))
-        new[channel - 1] += mult
-        out[src][dst] = inn[dst][src] = tuple(new)
+    # Check the quadruples' fields in C, column by column; only a failed
+    # check walks them in reading order to name the first fault.
+    quads = ints[2:end]
+    srcs, dsts, chans, mults = (quads[i::4] for i in range(4))
+    if quads and not (0 <= min(srcs) and max(srcs) < n and 0 <= min(dsts)
+                      and max(dsts) < n and 1 <= min(chans) and max(chans) <= k
+                      and 1 <= min(mults)):
+        for pos, src, dst, channel, mult in zip(range(2, end, 4), srcs, dsts,
+                                                chans, mults):
+            if not 0 <= src < n:
+                raise ParseError(toks.line(pos), f"vertex {src} out of range [0, {n})")
+            if not 0 <= dst < n:
+                raise ParseError(toks.line(pos), f"vertex {dst} out of range [0, {n})")
+            if not 1 <= channel <= k:
+                raise ParseError(toks.line(pos), f"channel {channel} out of range 1..{k}")
+            if mult < 1:
+                raise ParseError(toks.line(pos), f"multiplicity {mult} must be >= 1")
     if end < toks.count:
         lineno = toks.line(end)
         if len(rows[lineno - 1]) != 4:
             raise ParseError(lineno, "expected 'src dst channel multiplicity'")
         raise toks.stop("'src dst channel multiplicity'")
+    g = MultiplexGraph(n, channels=k)
+    out, inn, zero = g.out, g.inn, (0,) * k
+    for src, dst, channel, mult in zip(srcs, dsts, chans, mults):
+        new = list(out[src].get(dst, zero))
+        new[channel - 1] += mult
+        out[src][dst] = inn[dst][src] = tuple(new)
     return g
 
 

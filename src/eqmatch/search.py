@@ -34,7 +34,10 @@ of its slot multipliers. ``solve`` alone counts, streams, collects and
 stops, and ``expand_solution_class`` expands every mode by one quota
 search over the slots. Both searches keep an explicit stack (one frame
 per matched template vertex, one choice iterator per filled slot), so a
-template's size is not bounded by Python's recursion limit.
+template's size is not bounded by Python's recursion limit. The last
+level emits without a frame: once one template vertex is left unmatched,
+each entry of its branch list is a class, yielded as it is weighed, with
+no domain copy and no update of the match.
 
 One filter prunes the candidates: ``init_candidates`` applies the unary
 tests once, and ``_propagate`` keeps the domains arc consistent, from every
@@ -83,6 +86,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import compress
 from math import prod
 from typing import Callable, NamedTuple
 
@@ -104,8 +108,7 @@ class Mode(str, Enum):
 
 ALL_MODES = tuple(Mode)
 
-@dataclass(frozen=True)
-class Slot:
+class Slot(NamedTuple):
     """One assignment step of a solution class.
 
     ``template_class`` is the full template equivalence class for modes that
@@ -122,9 +125,11 @@ class Slot:
     multiplier: int
 
 
-@dataclass(frozen=True)
-class SolutionClass:
-    """A representative solution plus the interchanges it stands for."""
+class SolutionClass(NamedTuple):
+    """A representative solution plus the interchanges it stands for.
+
+    A named tuple, like :class:`Slot`: its field ``count`` (the number of
+    isomorphisms the class stands for) shadows ``tuple.count``."""
 
     mode: Mode
     slots: tuple[Slot, ...]
@@ -167,6 +172,7 @@ class SearchReport:
 
 
 _ONE = re.compile("1")
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _mask(cells) -> int:
@@ -180,8 +186,15 @@ def _mask(cells) -> int:
 
 def _bits(d: int) -> list[int]:
     """The world vertices in bitset ``d``, ascending. A few are peeled off
-    lowest first; more are read from one O(width) binary string."""
-    if d.bit_count() > 16:
+    lowest first; more are read from one O(width) binary string: a dense
+    set by translating it to 0/1 bytes that select from the positions, a
+    sparse one (density 1/8 or below) by matching its ones."""
+    n = d.bit_count()
+    if n > 16:
+        width = d.bit_length()
+        if n * 8 > width:
+            return list(compress(range(width),
+                                 bin(d)[:1:-1].encode().translate(_FLAGS)))
         return [m.start() for m in _ONE.finditer(bin(d)[:1:-1])]
     out = []
     while d:
@@ -514,30 +527,46 @@ class _Searcher:
     def _classes(self, jc: list[int]):
         """Yield the solution classes below the root domains ``jc``, depth
         first. A stack frame holds a node's domains, its branching vertex,
-        that vertex's template class and the node's remaining entries."""
-        assigned, slots, nt = self.assigned, self.slots, self.nt
+        that vertex's template class and the node's remaining entries. The
+        last unmatched vertex gets no frame: each of its entries is a class,
+        weighed and yielded on the spot."""
+        if not self.nt:  # the one map of the empty template
+            yield SolutionClass(self.mode, (), 1)
+            return
+        assigned, slots, nt, deadline = (self.assigned, self.slots, self.nt,
+                                         self.deadline)
         stack = []
         changed = range(nt)
         while True:
-            if time.monotonic() >= self.deadline:
+            if time.monotonic() >= deadline:
                 raise DeadlineExceeded
-            if len(assigned) == nt:
-                if self.cells is None:
-                    count = count_tewe(self.problem, dict(assigned),
-                                       self.tp, self.wp)
-                else:
-                    count = prod(s.multiplier for s in slots)
-                yield SolutionClass(self.mode, tuple(slots), count)
+            _propagate(self.tnbrs, jc, changed, deadline, assigned)
+            free = ~self.used
+            sizes = {v: (jc[v] & free).bit_count()
+                     for v in range(nt) if v not in assigned}
+            if not all(sizes.values()):
+                pass  # a wiped-out domain: back up
+            elif len(sizes) > 1:
+                u = _branch_vertex(sizes, self.tdegree, self.cover)
+                stack.append((jc, u, self.tp.classes[self.tp.class_of[u]],
+                              iter(self._generate(u, jc))))
             else:
-                _propagate(self.tnbrs, jc, changed, self.deadline,
-                           assigned)
-                free = ~self.used
-                sizes = {v: (jc[v] & free).bit_count()
-                         for v in range(nt) if v not in assigned}
-                if all(sizes.values()):
-                    u = _branch_vertex(sizes, self.tdegree, self.cover)
-                    stack.append((jc, u, self.tp.classes[self.tp.class_of[u]],
-                                  iter(self._generate(u, jc))))
+                # The last level leaves assigned, used and slots as they
+                # are; the deadline is checked per class, since it can hold
+                # |V_w| entries.
+                (u,) = sizes
+                tclass = self.tp.classes[self.tp.class_of[u]]
+                head, base = tuple(slots), prod(s.multiplier for s in slots)
+                for rep, members, mult in self._generate(u, jc):
+                    if time.monotonic() >= deadline:
+                        raise DeadlineExceeded
+                    if self.cells is None:
+                        count = count_tewe(self.problem, {**assigned, u: rep},
+                                           self.tp, self.wp)
+                    else:
+                        count = base * mult
+                    yield SolutionClass(self.mode, (*head, Slot(
+                        u, tclass, rep, members, mult)), count)
             # Back up to the deepest node with an entry left.
             while stack:
                 jc, u, tclass, entries = stack[-1]

@@ -12,6 +12,7 @@ from eqmatch.synth import random_multiplex_graph, random_problem, toy_problem
 
 import copy
 import random
+import tracemalloc
 
 import oracles
 from oracles import brute_force_solutions, iso_per_arc
@@ -266,6 +267,37 @@ class TestParsersMatchOracle:
             with pytest.raises(ParseError) as got:
                 parse(text)
             assert got.value.line == line, text
+
+
+class TestFaultBeforeAllocation:
+    """A fault in a short text that declares many vertices raises before
+    the per-vertex dicts are allocated: memory follows the text, not the
+    vertex count it declares."""
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_lad, "1000000",
+         "line 1: truncated file: expected out-degree of vertex 0"),
+        (parse_lad, "1000000\n1 7\n1 -4\n",
+         "line 3: neighbor index -4 out of range [0, 1000000)"),
+        (parse_multiplex_edgelist, "1000000 1\n0 1 1 0\n",
+         "line 2: multiplicity 0 must be >= 1"),
+        (parse_multiplex_edgelist, "1000000 1\n0 1 1 1\n5 1000000 1 1\n",
+         "line 3: vertex 1000000 out of range [0, 1000000)")])
+    def test_fault_raises_in_bounded_memory(self, parse, text, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as got:
+                parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(got.value) == message
+        assert peak < 8 * 2 ** 20
+
+    def test_valid_large_count_parses(self):
+        g = parse_multiplex_edgelist("1000000 1\n")
+        assert g.vertex_count == 1000000 and g.channels == 1
+        assert not any(g.out) and not any(g.inn)
 
 
 class TestProblem:

@@ -1,6 +1,8 @@
 """The equivalence-aware tree search across all seven modes."""
 
 import copy
+import json
+import pickle
 import random
 import time
 import tracemalloc
@@ -8,13 +10,14 @@ from collections import Counter
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eqmatch import search
 from eqmatch.graphs import Graph, MultiplexGraph, Problem
-from eqmatch.search import (ALL_MODES, Mode, _bits, _domains, _propagate,
-                            _Searcher, _support_masks, apply_filters,
-                            expand_solution_class, expansion_count_of,
-                            next_template_vertex, solve)
+from eqmatch.search import (ALL_MODES, Mode, Slot, SolutionClass, _bits,
+                            _domains, _propagate, _Searcher, _support_masks,
+                            apply_filters, expand_solution_class,
+                            expansion_count_of, next_template_vertex, solve)
 from eqmatch.candidates import (build_candidate_structure, greedy_node_cover,
                                 init_candidates)
 from eqmatch.synth import (cover_problem, plant, random_multiplex_graph,
@@ -624,6 +627,26 @@ class TestLimits:
         assert list(expand_solution_class(classes[0])) == \
             [{v: v for v in range(n)}]
 
+    def test_deadline_and_stop_inside_the_last_level(self):
+        # A one-vertex template in a 3000-vertex world is one level of 3000
+        # entries, each a class: both stops must act between its classes.
+        problem = Problem(Graph(1), Graph(3000))
+
+        def slow(sc):
+            time.sleep(0.001)
+
+        start = time.monotonic()
+        report, _ = solve(problem, Mode.NE, timeout=0.3, on_class=slow,
+                          collect=False)
+        assert report.status == "timed_out"
+        assert time.monotonic() - start <= 0.3 + 0.5
+        assert 0 < report.representatives < 3000
+        report, classes = solve(problem, Mode.NE, timeout=30,
+                                max_solutions=5, on_class=slow)
+        assert report.status == "truncated"
+        assert len(classes) == report.representatives == 5
+        assert [sc.mapping() for sc in classes] == [{0: c} for c in range(5)]
+
     def test_partial_counts_monotone_in_timeout(self):
         p = star_problem(7, 18)
         totals = [solve(p, Mode.NE, timeout=t, collect=False)[0].total
@@ -718,6 +741,81 @@ class TestNextTemplateVertex:
         p = toy_problem()
         with pytest.raises(ValueError):
             next_template_vertex(p, init_candidates(p), [0, 1, 2])
+
+
+def _naive_bits(d: int) -> list[int]:
+    out, i = [], 0
+    while d:
+        if d & 1:
+            out.append(i)
+        d >>= 1
+        i += 1
+    return out
+
+
+_BITSETS = st.one_of(
+    st.just(0),
+    # 16 bits or fewer, anywhere in a 20000-bit width: peeled.
+    st.sets(st.integers(0, 19_999), max_size=16).map(
+        lambda cs: sum(1 << c for c in cs)),
+    # Dense: random bytes set about half of the bits.
+    st.binary(min_size=3, max_size=2_500).map(
+        lambda b: int.from_bytes(b, "little")),
+    # Sparse: more than 16 bits, density about 1/100 of the width.
+    st.sets(st.integers(0, 19_999), min_size=17, max_size=200).map(
+        lambda cs: sum(1 << c for c in cs)))
+
+
+class TestBits:
+    @settings(max_examples=200, deadline=None)
+    @given(_BITSETS)
+    def test_matches_a_shift_loop(self, d):
+        assert _bits(d) == _naive_bits(d)
+
+
+class TestClassTuples:
+    """Classes and slots are named tuples: immutable, read by name or by
+    position, with an unchanged JSON form and repr."""
+
+    def classes(self):
+        return solve(toy_problem(), Mode.FE)[1] + solve(toy_problem(),
+                                                        Mode.TEWE)[1]
+
+    def test_fields_by_name_and_position(self):
+        for sc in self.classes():
+            assert sc == (sc.mode, sc.slots, sc.count)
+            assert isinstance(sc.count, int)  # shadows tuple.count
+            for slot in sc.slots:
+                assert slot == (slot.template_vertex, slot.template_class,
+                                slot.world_vertex, slot.members,
+                                slot.multiplier)
+                assert sc.mapping()[slot[0]] == slot[2]
+        assert SolutionClass._fields == ("mode", "slots", "count")
+        assert Slot._fields == ("template_vertex", "template_class",
+                                "world_vertex", "members", "multiplier")
+
+    def test_fields_cannot_be_set(self):
+        sc = self.classes()[0]
+        for obj, field in ((sc, "count"), (sc, "slots"),
+                           (sc.slots[0], "multiplier"),
+                           (sc.slots[0], "world_vertex")):
+            with pytest.raises(AttributeError):
+                setattr(obj, field, 0)
+
+    def test_json_pickle_and_repr(self):
+        for sc in self.classes():
+            data = sc.to_json()
+            assert json.loads(json.dumps(data)) == data
+            assert data["count"] == str(sc.count)
+            back = pickle.loads(pickle.dumps(sc))
+            assert back == sc and type(back) is SolutionClass
+            assert type(back.slots[0]) is Slot
+            assert back.to_json() == data
+        slot = Slot(0, (0,), 3, (3, 4), 2)
+        assert repr(slot) == ("Slot(template_vertex=0, template_class=(0,), "
+                              "world_vertex=3, members=(3, 4), multiplier=2)")
+        assert repr(SolutionClass(Mode.NE, (slot,), 2)) == (
+            f"SolutionClass(mode={Mode.NE!r}, slots=({slot!r},), count=2)")
 
 
 class TestReportFields:
