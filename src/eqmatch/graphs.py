@@ -271,23 +271,19 @@ def parse_multiplex_edgelist(text: str) -> MultiplexGraph:
     if not set(map(len, rows[head:])) <= {0, 4}:
         bad = next(r for r in range(head, len(rows)) if len(rows[r]) not in (0, 4))
         end = min(end, toks.ends[bad - 1])
-    # Check the quadruples' fields in C, column by column; only a failed
-    # check walks them in reading order to name the first fault.
-    quads = ints[2:end]
-    srcs, dsts, chans, mults = (quads[i::4] for i in range(4))
-    if quads and not (0 <= min(srcs) and max(srcs) < n and 0 <= min(dsts)
-                      and max(dsts) < n and 1 <= min(chans) and max(chans) <= k
-                      and 1 <= min(mults)):
-        for pos, src, dst, channel, mult in zip(range(2, end, 4), srcs, dsts,
-                                                chans, mults):
-            if not 0 <= src < n:
-                raise ParseError(toks.line(pos), f"vertex {src} out of range [0, {n})")
-            if not 0 <= dst < n:
-                raise ParseError(toks.line(pos), f"vertex {dst} out of range [0, {n})")
-            if not 1 <= channel <= k:
-                raise ParseError(toks.line(pos), f"channel {channel} out of range 1..{k}")
-            if mult < 1:
-                raise ParseError(toks.line(pos), f"multiplicity {mult} must be >= 1")
+    # Every field is checked before the graph is allocated, so a faulty
+    # text costs no memory in proportion to the vertex count it declares.
+    edges = ints[2:end]
+    quads = iter(edges)
+    for pos, src, dst, channel, mult in zip(range(2, end, 4), quads, quads, quads, quads):
+        if not 0 <= src < n:
+            raise ParseError(toks.line(pos), f"vertex {src} out of range [0, {n})")
+        if not 0 <= dst < n:
+            raise ParseError(toks.line(pos), f"vertex {dst} out of range [0, {n})")
+        if not 1 <= channel <= k:
+            raise ParseError(toks.line(pos), f"channel {channel} out of range 1..{k}")
+        if mult < 1:
+            raise ParseError(toks.line(pos), f"multiplicity {mult} must be >= 1")
     if end < toks.count:
         lineno = toks.line(end)
         if len(rows[lineno - 1]) != 4:
@@ -295,7 +291,8 @@ def parse_multiplex_edgelist(text: str) -> MultiplexGraph:
         raise toks.stop("'src dst channel multiplicity'")
     g = MultiplexGraph(n, channels=k)
     out, inn, zero = g.out, g.inn, (0,) * k
-    for src, dst, channel, mult in zip(srcs, dsts, chans, mults):
+    quads = iter(edges)
+    for src, dst, channel, mult in zip(quads, quads, quads, quads):
         new = list(out[src].get(dst, zero))
         new[channel - 1] += mult
         out[src][dst] = inn[dst][src] = tuple(new)
