@@ -25,7 +25,7 @@ from .graphs import Problem, parse_lad, parse_multiplex_edgelist
 from .candidates import (CandidateStructure, build_candidate_structure,
                          init_candidates)
 from .search import ALL_MODES, Mode, SolutionClass, solve
-from .reporting import compress, export_dot, induce_subgraph
+from .reporting import _dot, compress, export_dot, induce_subgraph
 
 
 # One encoder for every JSONL line; its text equals ``json.dumps``'s.
@@ -53,6 +53,10 @@ class RunConfig:
             raise ValueError("timeout must be positive")
         if self.max_solutions is not None and self.max_solutions < 1:
             raise ValueError("max_solutions must be positive")
+        if self.dump_candidate_structure and self.dot is None:
+            raise ValueError("--dump-candidate-structure requires --dot")
+        if self.pair_cap < 0:
+            raise ValueError("pair_cap must not be negative")
         self.mode = Mode(self.mode)
 
 
@@ -69,15 +73,10 @@ def load_problem(template: Path, world: Path, fmt: str) -> Problem:
 
 
 def _pair_graph_dot(structure: CandidateStructure) -> str:
-    lines = []
-    for i, (u, c) in enumerate(structure.nodes):
-        lines.append(f'  n{i} [label="({u},{c})"];')
-    for i in range(len(structure.nodes)):
-        for j in structure.pair_graph.out[i]:
-            lines.append(f"  n{i} -> n{j};")
-    if not lines:
-        return "digraph G { }"
-    return "digraph G {\n" + "\n".join(lines) + "\n}\n"
+    nodes = [(f"n{i}", f'label="({u},{c})"')
+             for i, (u, c) in enumerate(structure.nodes)]
+    return _dot(True, nodes, [(f"n{i}", f"n{j}") for i in range(len(nodes))
+                              for j in structure.pair_graph.out[i]])
 
 
 def run(cfg: RunConfig, out=None) -> int:
@@ -114,7 +113,7 @@ def run(cfg: RunConfig, out=None) -> int:
             csg = induce_subgraph(problem.world, first[0], problem.template)
             Path(cfg.dot).write_text(export_dot(compress(csg)))
         else:
-            Path(cfg.dot).write_text("digraph G { }")
+            Path(cfg.dot).write_text(_dot(True, (), ()))
     print(json.dumps(payload), file=out if out is not None else sys.stdout)
     return 0
 
@@ -142,6 +141,8 @@ def run_suite(suite_dir: Path, manifest: Path, out_csv: Path,
     """Run every manifest instance under every mode. Each row is written
     and flushed as it arrives, in manifest order; the aggregates follow the
     last row."""
+    if timeout <= 0:
+        raise ValueError("timeout must be positive")
     suite_dir = Path(suite_dir)
     entries = []
     with open(manifest, newline="") as fh:

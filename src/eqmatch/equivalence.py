@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import comb, factorial
+from math import factorial
 
 from .graphs import MultiplexGraph, Problem, is_subgraph_isomorphism
 
@@ -159,39 +159,44 @@ def count_factorial_lower_bound(p: Partition) -> int:
     return result
 
 
-def interchange_count(pairs) -> int:
-    """Count the maps reachable from one map by template/world swaps.
+def interchange_count(triples) -> int:
+    """Count the maps that one solution class stands for.
 
-    ``pairs`` holds one ``(template class, world class)`` pair of member
-    tuples per template vertex. With template classes ``C_i`` and world
-    classes ``D_j``, the count is
-    ``prod_i |C_i|! * prod_j prod_i binom(|D_j| - sum_{k<i} |C_{k,j}|, |C_{i,j}|)``
-    where ``C_{i,j}`` collects the members of ``C_i`` mapped into ``D_j``.
-    Only the incidence that occurs is visited. A pair of two singletons is
-    skipped: it weighs ``1! * binom(1, 1) = 1``, and an injective map sends
-    no other template vertex into its world class. With trivial partitions
-    (NE) every pair is such a pair.
+    ``triples`` holds one ``(template class, world cell, image)`` triple per
+    template vertex, in placement order: the member tuples of the vertex's
+    template class and of the world cell its image was drawn from, and the
+    image. The count is the product over the triples of ``|cell|`` less the
+    cell's members that earlier triples took as images, times
+    ``|C|! / prod_j k_Cj!`` for each template class ``C``, where ``k_Cj``
+    counts the members of ``C`` placed in cell ``j``: ``|C|!`` permutes the
+    class, and the slot product already orders the members that share a
+    cell. Every mode weighs its classes so. A static mode's cells are world
+    classes; a singleton template class has multinomial 1, which leaves the
+    product of the slot multipliers. A singleton vertex in a singleton cell
+    weighs 1 and is only recorded as taken; with trivial partitions (NE)
+    every triple is such a triple.
     """
+    taken: set[int] = set()
     incidence: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    for key in pairs:
-        tcls, dcls = key
-        if len(tcls) > 1 or len(dcls) > 1:
-            incidence[key] = incidence.get(key, 0) + 1
     result = 1
+    for tcls, cell, image in triples:
+        if len(cell) > 1:
+            result *= len(cell) - len(taken.intersection(cell))
+        if len(tcls) > 1:
+            incidence[tcls, cell] = incidence.get((tcls, cell), 0) + 1
+        taken.add(image)
     for tcls in {tcls for tcls, _ in incidence}:
         result *= factorial(len(tcls))
-    taken: dict[tuple[int, ...], int] = {}
-    for (_, dcls), k in incidence.items():
-        before = taken.get(dcls, 0)
-        result *= comb(len(dcls) - before, k)
-        taken[dcls] = before + k
+    for k in incidence.values():
+        result //= factorial(k)
     return result
 
 
 def count_tewe(problem: Problem, mapping: dict[int, int],
                template_partition: Partition, world_partition: Partition) -> int:
-    """Count isomorphisms reachable from ``mapping`` by template/world swaps
-    (see :func:`interchange_count`, which skips singleton pairs).
+    """Count isomorphisms reachable from ``mapping`` by template/world swaps:
+    :func:`interchange_count` of each vertex's template class, the world
+    class of its image and the image, in the mapping's order.
 
     Raises ``ValueError`` unless ``mapping`` is a subgraph isomorphism. The
     check reads one world dict entry per template arc and calls
@@ -200,5 +205,6 @@ def count_tewe(problem: Problem, mapping: dict[int, int],
     if not is_subgraph_isomorphism(problem, mapping):
         raise ValueError("mapping is not a subgraph isomorphism")
     tp, wp = template_partition, world_partition
-    return interchange_count((tp.classes[tp.class_of[v]], wp.classes[wp.class_of[img]])
+    return interchange_count((tp.classes[tp.class_of[v]],
+                              wp.classes[wp.class_of[img]], img)
                              for v, img in mapping.items())

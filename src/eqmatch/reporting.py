@@ -169,24 +169,26 @@ def venn_summary(csets: list[set[int]], cover, match) -> VennSummary:
     return VennSummary(tuple(sorted(regions.items())))
 
 
-def export_dot(g: ColoredSubgraph | CompressedSubgraph) -> str:
-    """Render either subgraph as DOT; colors become fill attributes and
-    supernode sizes become labels."""
-    kind = "digraph" if g.directed else "graph"
-    arrow = "->" if g.directed else "--"
-    lines: list[str] = []
-    if isinstance(g, ColoredSubgraph):
-        for v in g.vertices:
-            color = _PALETTE[g.color_of[v] % len(_PALETTE)]
-            lines.append(f'  {v} [label="{v}", style=filled, fillcolor={color}];')
-        for a, b in g.edges:
-            lines.append(f"  {a} {arrow} {b};")
-    else:
-        for c, label, size in g.supernodes:
-            fill = _PALETTE[c % len(_PALETTE)]
-            lines.append(f'  s{c} [label="{size}", style=filled, fillcolor={fill}];')
-        for a, b in g.edges:
-            lines.append(f"  s{a} {arrow} s{b};")
+def _dot(directed: bool, nodes, edges) -> str:
+    """DOT text of ``nodes``, ``(name, attributes)`` pairs, and ``edges``,
+    ``(name, name)`` pairs; an empty graph is one line with no newline."""
+    kind, arrow = ("digraph", "->") if directed else ("graph", "--")
+    lines = [f"  {v} [{attrs}];" for v, attrs in nodes]
+    lines += [f"  {a} {arrow} {b};" for a, b in edges]
     if not lines:
         return f"{kind} G {{ }}"
     return f"{kind} G {{\n" + "\n".join(lines) + "\n}\n"
+
+
+def export_dot(g: ColoredSubgraph | CompressedSubgraph) -> str:
+    """Render either subgraph as DOT; colors become fill attributes and
+    supernode sizes become labels."""
+    if isinstance(g, ColoredSubgraph):
+        nodes = [(v, f'label="{v}", style=filled, fillcolor='
+                     f'{_PALETTE[g.color_of[v] % len(_PALETTE)]}')
+                 for v in g.vertices]
+        return _dot(g.directed, nodes, g.edges)
+    nodes = [(f"s{c}", f'label="{size}", style=filled, fillcolor='
+                       f'{_PALETTE[c % len(_PALETTE)]}')
+             for c, _, size in g.supernodes]
+    return _dot(g.directed, nodes, [(f"s{a}", f"s{b}") for a, b in g.edges])

@@ -27,14 +27,17 @@ and once a branch is exhausted, its world class is dropped from the
 candidates of the other members of the branching vertex's template class
 (a no-op for singleton classes).
 
-A solution class has one path. ``_Searcher._classes`` yields it, weighed
-when it is created: without a builder by ``count_tewe``, which re-verifies
-the map and applies the static interchange count; with one, by the product
-of its slot multipliers. ``solve`` alone counts, streams, collects and
-stops, and ``expand_solution_class`` expands every mode by one quota
-search over the slots. Both searches keep an explicit stack (one frame
-per matched template vertex, one choice iterator per filled slot), so a
-template's size is not bounded by Python's recursion limit. The last
+A solution class has one path and one count formula,
+:func:`~eqmatch.equivalence.interchange_count`. ``_Searcher._classes``
+yields each class weighed when it is created: without a builder by
+``count_tewe``, which re-verifies the map and applies that formula; with
+one, by the product of its slot multipliers, which is the formula for
+singleton template classes. ``expansion_count_of`` applies it to the slots
+of any mode. ``solve`` alone counts, streams, collects and stops, and
+``expand_solution_class`` expands every mode by one quota search over the
+slots. Both searches keep an explicit stack (one frame per matched
+template vertex, one choice iterator per filled slot), so a template's
+size is not bounded by Python's recursion limit. The last
 level emits without a frame: once one template vertex is left unmatched,
 each entry of its branch list is a class, yielded as it is weighed, with
 no domain copy and no update of the match.
@@ -538,8 +541,9 @@ class _Searcher:
         stack = []
         changed = range(nt)
         while True:
-            if time.monotonic() >= deadline:
-                raise DeadlineExceeded
+            # ``_propagate`` checks the deadline before its first pop, and
+            # ``changed`` is never empty: every vertex at the root, the
+            # branching vertex's template class below.
             _propagate(self.tnbrs, jc, changed, deadline, assigned)
             free = ~self.used
             sizes = {v: (jc[v] & free).bit_count()
@@ -708,16 +712,14 @@ def next_template_vertex(problem: Problem, csets: list[set[int]], matched,
 
 
 def expansion_count_of(sc: SolutionClass) -> int:
-    """Recompute the exact expansion count of ``sc`` from its slots.
-
-    Modes with a dynamic cell builder multiply the slot multipliers. The
-    static modes apply :func:`~eqmatch.equivalence.interchange_count` to
-    the slots' (template class, world class) incidence, as ``count_tewe``
-    does when the search weighs the class.
+    """Recompute the exact expansion count of ``sc`` from its slots, in
+    every mode, by :func:`~eqmatch.equivalence.interchange_count` of each
+    slot's template class, members and world vertex. It reads neither the
+    slot multipliers nor ``sc.count``, so it checks both ways the search
+    weighs a class: ``count_tewe`` and the product of the multipliers.
     """
-    if _RULES[sc.mode].cells is None:
-        return interchange_count((s.template_class, s.members) for s in sc.slots)
-    return prod(s.multiplier for s in sc.slots)
+    return interchange_count((s.template_class, s.members, s.world_vertex)
+                             for s in sc.slots)
 
 
 def expand_solution_class(sc: SolutionClass):

@@ -158,6 +158,23 @@ class TestSingleRun:
         assert "above the cap" in err
         assert not dot.exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--dump-candidate-structure"], "requires --dot"),
+        (["--dump-candidate-structure", "--dot", "pairs.dot",
+          "--pair-cap", "-1"], "pair_cap"),
+        (["--dot", "pairs.dot", "--pair-cap", "-1"], "pair_cap")])
+    def test_candidate_structure_flags_are_checked(self, capsys, tmp_path,
+                                                   toy_paths, flags, message):
+        t, w = toy_paths
+        out_path = tmp_path / "classes.jsonl"
+        flags = [str(tmp_path / f) if f.endswith(".dot") else f for f in flags]
+        code, out, err = run_cli(capsys, "--template", t, "--world", w,
+                                 "--solutions", str(out_path), *flags)
+        assert code == 2
+        assert message in err and out == ""
+        # Rejected before any file is opened.
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_file_is_an_error(self, capsys, toy_paths):
         code, _, err = run_cli(capsys, "--template", "/nonexistent.lad",
                                "--world", toy_paths[1])
@@ -215,6 +232,20 @@ class TestSuite:
         lines = out.read_text().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("instance,mode,")
+
+    @pytest.mark.parametrize("timeout", ["0", "-1"])
+    def test_non_positive_timeout_is_an_error(self, capsys, tmp_path,
+                                              data_dir, timeout):
+        manifest = self.write_manifest(tmp_path, [
+            {"name": "toy", "template": "fan_template.lad",
+             "world": "fan_world.lad", "format": "lad"}])
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, "--suite", str(data_dir),
+                               "--manifest", str(manifest), "--out", str(out),
+                               "--timeout", timeout, "--jobs", "1")
+        assert code == 2
+        assert "error: timeout must be positive" in err
+        assert not out.exists()
 
     def test_missing_entry_reported_per_row(self, capsys, tmp_path, data_dir):
         manifest = self.write_manifest(tmp_path, [

@@ -211,12 +211,12 @@ def random_classes(rng, n):
 
 class TestInterchangeCount:
     def test_singleton_pairs_weigh_one(self):
-        assert interchange_count([((0,), (4,)), ((1,), (2,))]) == 1
+        assert interchange_count([((0,), (4,), 4), ((1,), (2,), 2)]) == 1
         assert interchange_count([]) == 1
         # 2! for {1, 2}, C(3, 2) for its world class; the singletons add 1.
-        pairs = [((0,), (9,)), ((1, 2), (3, 4, 5)), ((1, 2), (3, 4, 5)),
-                 ((6,), (7,))]
-        assert interchange_count(pairs) == 2 * 3
+        triples = [((0,), (9,), 9), ((1, 2), (3, 4, 5), 3),
+                   ((1, 2), (3, 4, 5), 4), ((6,), (7,), 7)]
+        assert interchange_count(triples) == 2 * 3
 
     def test_matches_reference_on_mixed_incidences(self, rng):
         mixed = 0
@@ -228,7 +228,8 @@ class TestInterchangeCount:
             pairs = [(tclass[v], wclass[c]) for v, c in enumerate(images)]
             singles = sum(len(t) == len(d) == 1 for t, d in pairs)
             mixed += 0 < singles < len(pairs)
-            assert interchange_count(pairs) == interchange_reference(pairs)
+            triples = [(t, d, c) for (t, d), c in zip(pairs, images)]
+            assert interchange_count(triples) == interchange_reference(pairs)
         assert mixed > 100
 
 

@@ -1,0 +1,188 @@
+"""Exact totals past the brute-force oracle's reach.
+
+Motif identities give the total of a triangle, a 2-path and a 3-star in a
+world of thousands of vertices from its degrees and neighbourhoods alone
+(Schank and Wagner, "Finding, counting and listing all triangles in large
+graphs", WEA 2005). The disjoint-union relation needs no reference at
+all: a weakly connected template's total in W1 + W2 is the sum of its
+totals in W1 and W2 (Chen et al., "Metamorphic testing: a review of
+challenges and opportunities", ACM CSUR 2018).
+"""
+
+import random
+from math import prod
+
+import pytest
+
+from eqmatch.graphs import Graph, MultiplexGraph, Problem
+from eqmatch.search import ALL_MODES, solve
+from eqmatch.synth import plant, random_multiplex_graph
+
+
+def directed(n, arcs):
+    g = Graph(n)
+    for a, b in arcs:
+        g.add_edge(a, b)
+    return g
+
+
+def undirected(n, pairs):
+    return directed(n, [*pairs, *((b, a) for a, b in pairs)])
+
+
+def falling(d, k):
+    """``d (d - 1) ... (d - k + 1)``: the ordered picks of k of d."""
+    return prod(range(d - k + 1, d + 1))
+
+
+MOTIFS = {
+    "triangle": undirected(3, [(0, 1), (1, 2), (0, 2)]),
+    "2-path": undirected(3, [(0, 1), (1, 2)]),
+    "3-star": undirected(4, [(0, 1), (0, 2), (0, 3)]),
+    "out-star": directed(4, [(0, 1), (0, 2), (0, 3)]),
+    "directed 2-path": directed(3, [(0, 1), (1, 2)]),
+}
+
+
+@pytest.fixture(scope="module")
+def sparse_world():
+    """3,000 vertices and 9,000 drawn edges, plus 100 hubs with 3 pendant
+    leaves each. A hub's leaves are structurally equivalent, so TEWE can
+    place both ends of a 2-path in one world class."""
+    rng = random.Random(3000)
+    n = 3000
+    pairs = [rng.sample(range(n), 2) for _ in range(9000)]
+    leaves = iter(range(n, n + 300))
+    pairs += [(hub, next(leaves)) for hub in rng.sample(range(n), 100)
+              for _ in range(3)]
+    w = undirected(n + 300, pairs)
+    nbrs = [arcs.keys() for arcs in w.out]
+    triangles = sum(len(nbrs[a] & nbrs[b])
+                    for a in range(len(nbrs)) for b in nbrs[a] if a < b) // 3
+    return w, {"triangle": 6 * triangles,
+               "2-path": sum(falling(len(s), 2) for s in nbrs),
+               "3-star": sum(falling(len(s), 3) for s in nbrs)}
+
+
+@pytest.fixture(scope="module")
+def directed_world():
+    """2,000 vertices and 6,000 drawn arcs, about a fifth of them
+    reciprocated."""
+    rng = random.Random(3001)
+    n = 2000
+    arcs = []
+    for _ in range(6000):
+        a, b = rng.sample(range(n), 2)
+        arcs.append((a, b))
+        if rng.random() < 0.2:
+            arcs.append((b, a))
+    w = directed(n, arcs)
+    return w, {
+        "out-star": sum(falling(len(out), 3) for out in w.out),
+        "directed 2-path": sum(len(w.inn[v]) * len(w.out[v])
+                               - len(w.inn[v].keys() & w.out[v].keys())
+                               for v in range(n))}
+
+
+def shared_cells(sc) -> bool:
+    """Whether two members of one template class share a world cell."""
+    keys = [(s.template_class, s.members) for s in sc.slots
+            if len(s.template_class) > 1]
+    return len(keys) > len(set(keys))
+
+
+@pytest.mark.parametrize("motif,mode", [
+    *[("triangle", m) for m in ("ne", "we", "ce", "fe", "nc")],
+    *[("2-path", m) for m in ("tewe", "fe", "nc")],
+    *[("3-star", m) for m in ("fe", "nc")]])
+def test_undirected_motif_totals(sparse_world, motif, mode):
+    w, want = sparse_world
+    shared = []
+    report, _ = solve(Problem(MOTIFS[motif], w, directed=False), mode,
+                      collect=False,
+                      on_class=lambda sc: shared.append(shared_cells(sc)))
+    assert report.status == "completed"
+    assert report.total == want[motif]
+    assert any(shared) == (mode == "tewe")
+
+
+@pytest.mark.parametrize("motif", ["out-star", "directed 2-path"])
+@pytest.mark.parametrize("mode", ["fe", "nc"])
+def test_directed_motif_totals(directed_world, motif, mode):
+    w, want = directed_world
+    report, _ = solve(Problem(MOTIFS[motif], w), mode, collect=False)
+    assert report.status == "completed"
+    assert report.total == want[motif]
+
+
+def arcs_of(g):
+    return [(u, v, ch, m) for u, arcs in enumerate(g.out)
+            for v, e in arcs.items() for ch, m in enumerate(e, 1) if m]
+
+
+def disjoint_union(a, b):
+    g = MultiplexGraph(a.vertex_count + b.vertex_count, a.channels)
+    for h, offset in ((a, 0), (b, a.vertex_count)):
+        for u, v, ch, m in arcs_of(h):
+            g.add_edge(u + offset, v + offset, ch, m)
+    return g
+
+
+def with_twins(rng, g, k):
+    """``g`` plus ``k`` vertices, each given the arcs of a random vertex,
+    so usually structurally equivalent to it (a twin of a neighbour, or a
+    planted arc, can tell the two apart)."""
+    n = g.vertex_count
+    h = disjoint_union(g, MultiplexGraph(k, g.channels))
+    sources = [rng.randrange(n) for _ in range(k)]
+    for u, v, ch, m in arcs_of(g):
+        for twin, s in enumerate(sources, n):
+            if u == s:
+                h.add_edge(twin, v, ch, m)
+            if v == s:
+                h.add_edge(u, twin, ch, m)
+    return h
+
+
+def weakly_connected(t) -> bool:
+    seen, todo = {0}, [0]
+    while todo:
+        u = todo.pop()
+        for v in (t.out[u].keys() | t.inn[u].keys()) - seen:
+            seen.add(v)
+            todo.append(v)
+    return len(seen) == t.vertex_count
+
+
+@pytest.fixture(scope="module")
+def union_cases():
+    """Three two-channel templates (a fan and a symmetric 2-path, each with
+    two equivalent ends, and a random weakly connected one planted in both
+    worlds), two random worlds with structural twins, and their union."""
+    rng = random.Random(13)
+    worlds = [with_twins(rng, random_multiplex_graph(rng, n, 2, 0.3), 4)
+              for n in (16, 20)]
+    fan, path = MultiplexGraph(3, 2), MultiplexGraph(3, 2)
+    fan.add_edge(0, 1, 1)
+    fan.add_edge(0, 2, 1)
+    for a, b in ((0, 1), (1, 2)):
+        path.add_edge(a, b, 2)
+        path.add_edge(b, a, 2)
+    while True:
+        t = random_multiplex_graph(rng, 4, 2, 0.4, max_multiplicity=1)
+        if weakly_connected(t):
+            break
+    for w in worlds:
+        plant(rng, t, w)
+    return [fan, path, t], (*worlds, disjoint_union(*worlds))
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_disjoint_union_adds_totals(union_cases, mode):
+    templates, worlds = union_cases
+    for t in templates:
+        assert weakly_connected(t)
+        parts = [solve(Problem(t, w), mode)[0] for w in worlds]
+        assert all(r.status == "completed" for r in parts)
+        assert parts[0].total > 0 and parts[1].total > 0
+        assert parts[2].total == parts[0].total + parts[1].total
