@@ -142,10 +142,15 @@ def node_cover_equivalent(csets: list[set[int]], cover, match: MatchPairs,
     from ``match``, and ``match`` must assign every cover vertex (contract
     error otherwise).
     """
-    matched = {v for v, _ in match}
-    missing = set(cover) - matched
+    return all((w1 in csets[u]) == (w2 in csets[u])
+               for u in _noncover(len(csets), cover, match))
+
+
+def _noncover(n: int, cover, match: MatchPairs) -> list[int]:
+    """The vertices ``0..n-1`` outside ``cover``, after checking that
+    ``match`` assigns every cover vertex (a contract error otherwise)."""
+    cs = set(cover)
+    missing = cs - {v for v, _ in match}
     if missing:
         raise ValueError(f"node cover vertices {sorted(missing)} are not matched")
-    cs = set(cover)
-    return all((w1 in csets[u]) == (w2 in csets[u])
-               for u in range(len(csets)) if u not in cs)
+    return [u for u in range(n) if u not in cs]

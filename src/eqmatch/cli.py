@@ -49,7 +49,7 @@ class RunConfig:
     pair_cap: int = 200
 
     def __post_init__(self):
-        if self.timeout <= 0:
+        if not self.timeout > 0:  # NaN too
             raise ValueError("timeout must be positive")
         if self.max_solutions is not None and self.max_solutions < 1:
             raise ValueError("max_solutions must be positive")
@@ -130,6 +130,7 @@ def _suite_entry(args) -> dict:
         return {"instance": name, "mode": mode.value, "status": f"error: {exc}"}
 
 
+_COLUMNS = {"name", "template", "world"}  # a manifest's; format is optional
 _FIELDS = ["instance", "mode", "representatives", "total", "wall_time_s",
            "status", "compression_rate", "fully_enumerated_proportion",
            "mean_compression_rate"]
@@ -141,16 +142,21 @@ def run_suite(suite_dir: Path, manifest: Path, out_csv: Path,
     """Run every manifest instance under every mode. Each row is written
     and flushed as it arrives, in manifest order; the aggregates follow the
     last row."""
-    if timeout <= 0:
+    if not timeout > 0:  # NaN too
         raise ValueError("timeout must be positive")
-    suite_dir = Path(suite_dir)
-    entries = []
+    if jobs is not None and jobs < 1:
+        raise ValueError("jobs must be positive")
+    suite_dir, tasks = Path(suite_dir), []
     with open(manifest, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            entries.append((rec["name"], suite_dir / rec["template"],
-                            suite_dir / rec["world"], rec.get("format", "lad")))
-    tasks = [(name, t, w, fmt, Mode(mode), timeout)
-             for (name, t, w, fmt) in entries for mode in modes]
+        reader = csv.DictReader(fh)
+        for rec in reader:
+            # A short row has None values, a long one a None key.
+            if None in rec or None in rec.values() or _COLUMNS - rec.keys():
+                raise ValueError(f"manifest line {reader.line_num}: need "
+                                 "name, template and world, one per column")
+            t, w = suite_dir / rec["template"], suite_dir / rec["world"]
+            tasks += [(rec["name"], t, w, rec.get("format", "lad"), Mode(mode),
+                       timeout) for mode in modes]
     if jobs is None:
         jobs = os.cpu_count() or 1
     with open(out_csv, "w", newline="") as fh, ExitStack() as stack:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .candidates import _noncover
 from .graphs import MultiplexGraph, dominates
 from .search import SolutionClass
 
@@ -156,11 +157,7 @@ def venn_summary(csets: list[set[int]], cover, match) -> VennSummary:
     from ``match``, and ``match`` must assign every cover vertex (contract
     error otherwise).
     """
-    matched = {u for u, _ in match}
-    missing = set(cover) - matched
-    if missing:
-        raise ValueError(f"node cover vertices {sorted(missing)} are not matched")
-    noncover = [u for u in range(len(csets)) if u not in set(cover)]
+    noncover = _noncover(len(csets), cover, match)
     regions: dict[tuple[int, ...], int] = {}
     universe = set().union(*(csets[u] for u in noncover)) if noncover else set()
     for c in sorted(universe):

@@ -12,14 +12,14 @@ vertex into interchangeable cells:
 * ``we``   -- world partition only.
 * ``tewe`` -- both partitions.
 * ``ce``   -- world partition, builder ``_ce_cells``: candidate
-  equivalence recomputed per assignment, usable only when a cell's members
-  are candidates of no other unmatched vertex (blocked cells fall back to
-  world classes, which are always safe).
+  equivalence with respect to the branching vertex, recomputed per
+  assignment, usable only when a cell's members are candidates of no other
+  unmatched vertex (blocked cells fall back to world classes, which are
+  always safe).
 * ``fe``   -- builder ``_fe_cells``: full candidate equivalence (with
   respect to every template vertex), always usable.
-* ``nc``   -- builder ``_nc_cells``: candidate equivalence until a greedy
-  node cover of the template is fully matched, then membership-vector
-  grouping. The cover is matched first.
+* ``nc``   -- builder ``_nc_cells``: CE until a greedy node cover of the
+  template is fully matched, then FE. The cover is matched first.
 
 Everything else follows from the row. Without a builder the cells are the
 world classes of the candidates (singletons under the trivial partition),
@@ -29,18 +29,19 @@ candidates of the other members of the branching vertex's template class
 
 A solution class has one path and one count formula,
 :func:`~eqmatch.equivalence.interchange_count`. ``_Searcher._classes``
-yields each class weighed when it is created: without a builder by
-``count_tewe``, which re-verifies the map and applies that formula; with
-one, by the product of its slot multipliers, which is the formula for
-singleton template classes. ``expansion_count_of`` applies it to the slots
-of any mode. ``solve`` alone counts, streams, collects and stops, and
-``expand_solution_class`` expands every mode by one quota search over the
-slots. Both searches keep an explicit stack (one frame per matched
-template vertex, one choice iterator per filled slot), so a template's
-size is not bounded by Python's recursion limit. The last
-level emits without a frame: once one template vertex is left unmatched,
-each entry of its branch list is a class, yielded as it is weighed, with
-no domain copy and no update of the match.
+yields each class weighed when it is created. With a template partition
+(TE, TEWE) that is ``count_tewe``, which re-verifies the map and applies
+the formula with its multinomial; in every other mode the template
+classes are singletons, and the class weighs the product of its slot
+multipliers, which is the formula for them. ``expansion_count_of``
+applies it to the slots of any mode. ``solve`` alone counts, streams,
+collects and stops, and ``expand_solution_class`` expands every mode by
+one quota search over the slots. Both searches keep an explicit stack
+(one frame per matched template vertex, one choice iterator per filled
+slot), so a template's size is not bounded by Python's recursion limit.
+The last level emits without a frame: once one template vertex is left
+unmatched, each entry of its branch list is a class, yielded as it is
+weighed, with no domain copy and no update of the match.
 
 One filter prunes the candidates: ``init_candidates`` applies the unary
 tests once, and ``_propagate`` keeps the domains arc consistent, from every
@@ -70,15 +71,20 @@ report the full interchange class, with multipliers discounting the
 members consumed by earlier assignments. ``used`` is a bitset too.
 
 A cell is a bitset as well, a subset of the branching vertex's domain.
-The builders refine ``[jc[u]]`` (partition refinement; Paige and Tarjan,
-SIAM J. Comput. 1987): FE by the label groups, as bitsets, of each
-unmatched vertex, splitting a cell by the group of its lowest candidate
-until it is empty, so each output cell costs one AND (a vertex without
-template edges has one label, so its domain splits as in NC); NC by each
-non-cover domain ``d`` into ``cell & d`` and ``cell & ~d``; CE by its own
-label groups, a group being blocked when it meets the other unmatched
-domains. A branch's representative is the lowest free bit of its cell,
-and its multiplier the number of the cell's unused bits.
+One refinement, ``_fe_cells``, builds every builder's cells from
+``[jc[u]]`` (partition refinement; Paige and Tarjan, SIAM J. Comput.
+1987): by the label groups, as bitsets, of each unmatched vertex of a
+given set, splitting a cell by the group of its lowest candidate until it
+is empty, so each output cell costs one AND. FE refines by every
+unmatched vertex, CE by the branching vertex alone, a group being blocked
+when it meets the other unmatched domains. A vertex without a self-loop
+whose neighbours are all matched has one label: arc consistency keeps
+only candidates adjacent to each neighbour's image, so its domain ``d``
+splits a cell into ``cell & d`` and ``cell & ~d``. Once the node cover is
+matched, every unmatched vertex is such a vertex, and FE is the
+membership-vector grouping of node-cover equivalence. A branch's
+representative is the lowest free bit of its cell, and its multiplier the
+number of the cell's unused bits.
 """
 
 from __future__ import annotations
@@ -382,12 +388,15 @@ class _Searcher:
         t = self.t
         self.tnbrs, self.tself = _support_masks(t, self.w)
         self.tdegree = [t.degree(u) for u in range(self.nt)]
+        # Once these are matched, u's candidates share one label: its
+        # neighbours, and u itself when it has a self-loop.
+        self.tdeps = [o.keys() | i.keys() for o, i in zip(t.out, t.inn)]
         self.tp = (find_equivalence_classes(t, deadline=deadline)
                    if rule.template_partition else Partition.trivial(self.nt))
         self.wp = (find_equivalence_classes(self.w, deadline=deadline)
                    if rule.world_partition
                    else Partition.trivial(self.w.vertex_count))
-        self.cells = rule.cells
+        self.rule, self.cells = rule, rule.cells
         self.cover: frozenset[int] = (frozenset(greedy_node_cover(t))
                                       if rule.cells is _Searcher._nc_cells
                                       else frozenset())
@@ -432,13 +441,15 @@ class _Searcher:
                 for c, (closed, opened) in sigs.items()}
 
     def _ce_cells(self, u: int, jc: list[int]) -> list[int]:
-        labels = self._labels_wrt(u, _bits(jc[u]), jc)
+        """The refinement by ``u`` alone; a cell that meets the other
+        unmatched domains is blocked, and its candidates fall back to world
+        classes."""
         others = 0  # candidates of the other unmatched vertices
         for u2 in range(self.nt):
             if u2 != u and u2 not in self.assigned:
                 others |= jc[u2]
         cells, blocked = [], 0
-        for cell in _group(labels).values():
+        for cell in self._fe_cells(u, jc, (u,)):
             if cell & others:
                 blocked |= cell
             else:
@@ -449,26 +460,31 @@ class _Searcher:
                                  for c in _bits(blocked)}).values())
         return cells
 
-    def _fe_cells(self, u: int, jc: list[int]) -> list[int]:
+    def _fe_cells(self, u: int, jc: list[int], vertices=None) -> list[int]:
         """Refine ``[jc[u]]`` by the candidate equivalence with respect to
-        each unmatched vertex (matched vertices are fixed points), splitting
-        a cell by the group of its lowest candidate until it is empty."""
-        domain = jc[u]
+        each unmatched vertex of ``vertices`` (every template vertex by
+        default; matched vertices are fixed points), splitting a cell by the
+        group of its lowest candidate until it is empty."""
+        domain, assigned = jc[u], self.assigned
         cells, size = [domain], domain.bit_count()
         # Vertices with one domain and the same row views (so the same
         # neighbours, requirements and self-loop) refine alike.
         seen = set()
-        for uprime in range(self.nt):
+        for uprime in range(self.nt) if vertices is None else vertices:
             if len(cells) == size:  # all singletons
                 break
+            if uprime in assigned:
+                continue
             d = jc[uprime]
+            if assigned.keys() >= self.tdeps[uprime]:
+                # Arc consistency leaves every candidate adjacent to each
+                # neighbour's image: one label inside d.
+                cells = _split(cells, d)
+                continue
             key = (self.tnbrs[uprime], self.tself[uprime], d)
-            if uprime in self.assigned or key in seen:
+            if key in seen:
                 continue
             seen.add(key)
-            if not self.tnbrs[uprime] and self.tself[uprime][0] is None:
-                cells = _split(cells, d)  # one label inside d
-                continue
             labels = self._labels_wrt(uprime, _bits(domain & d), jc)
             groups, outside = _group(labels), domain & ~d
             if len(groups) + (outside != 0) < 2:  # splits nothing
@@ -487,15 +503,12 @@ class _Searcher:
         return cells
 
     def _nc_cells(self, u: int, jc: list[int]) -> list[int]:
-        if not self.cover <= self.assigned.keys():
-            return self._ce_cells(u, jc)
-        cells, size = [jc[u]], jc[u].bit_count()
-        for v in range(self.nt):
-            if len(cells) == size:
-                break
-            if v not in self.cover and v not in self.assigned:
-                cells = _split(cells, jc[v])
-        return cells
+        """CE until the node cover is matched, FE after: every unmatched
+        vertex then lies outside the cover, so it splits cells by its
+        domain, which is node-cover equivalence."""
+        if self.cover <= self.assigned.keys():
+            return self._fe_cells(u, jc)
+        return self._ce_cells(u, jc)
 
     # -- branch generation -------------------------------------------------
 
@@ -564,7 +577,7 @@ class _Searcher:
                 for rep, members, mult in self._generate(u, jc):
                     if time.monotonic() >= deadline:
                         raise DeadlineExceeded
-                    if self.cells is None:
+                    if self.rule.template_partition:
                         count = count_tewe(self.problem, {**assigned, u: rep},
                                            self.tp, self.wp)
                     else:
@@ -616,7 +629,9 @@ def _group(labels: dict[int, object]) -> dict[object, int]:
 
 
 class _Rule(NamedTuple):
-    """How a mode groups candidates into cells and weighs a class."""
+    """How a mode groups candidates into cells and weighs a class: a
+    template partition weighs by ``count_tewe``, every other mode by the
+    product of the slot multipliers."""
 
     template_partition: bool  # interchange statically equivalent template vertices
     world_partition: bool     # interchange statically equivalent world vertices
@@ -645,7 +660,7 @@ def solve(problem: Problem, mode: Mode | str, timeout: float = 600.0,
     and the classes are disjoint and jointly exhaustive; after a timeout or
     a ``max_solutions`` stop the counts are lower bounds.
     """
-    if timeout <= 0:
+    if not timeout > 0:  # NaN too
         raise ValueError("timeout must be positive")
     if max_solutions is not None and max_solutions < 1:
         raise ValueError("max_solutions must be positive")

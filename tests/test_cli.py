@@ -175,6 +175,18 @@ class TestSingleRun:
         # Rejected before any file is opened.
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("timeout", ["0", "-1", "nan"])
+    def test_non_positive_timeout_is_an_error(self, capsys, tmp_path,
+                                              toy_paths, timeout):
+        t, w = toy_paths
+        out_path = tmp_path / "classes.jsonl"
+        code, out, err = run_cli(capsys, "--template", t, "--world", w,
+                                 "--timeout", timeout,
+                                 "--solutions", str(out_path))
+        assert code == 2
+        assert "error: timeout must be positive" in err and out == ""
+        assert not out_path.exists()  # rejected before any file is opened
+
     def test_missing_file_is_an_error(self, capsys, toy_paths):
         code, _, err = run_cli(capsys, "--template", "/nonexistent.lad",
                                "--world", toy_paths[1])
@@ -233,7 +245,7 @@ class TestSuite:
         assert len(lines) == 1
         assert lines[0].startswith("instance,mode,")
 
-    @pytest.mark.parametrize("timeout", ["0", "-1"])
+    @pytest.mark.parametrize("timeout", ["0", "-1", "nan"])
     def test_non_positive_timeout_is_an_error(self, capsys, tmp_path,
                                               data_dir, timeout):
         manifest = self.write_manifest(tmp_path, [
@@ -245,6 +257,43 @@ class TestSuite:
                                "--timeout", timeout, "--jobs", "1")
         assert code == 2
         assert "error: timeout must be positive" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_non_positive_jobs_is_an_error(self, capsys, tmp_path, data_dir,
+                                           jobs):
+        manifest = self.write_manifest(tmp_path, [
+            {"name": "toy", "template": "fan_template.lad",
+             "world": "fan_world.lad", "format": "lad"}])
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, "--suite", str(data_dir),
+                               "--manifest", str(manifest), "--out", str(out),
+                               "--jobs", jobs)
+        assert code == 2
+        assert "error: jobs must be positive" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,line", [
+        # No name column.
+        ("template,world,format\nfan_template.lad,fan_world.lad,lad\n", 2),
+        # A short row: no world field.
+        ("name,template,world\ntoy,fan_template.lad,fan_world.lad\n"
+         "bad,fan_template.lad\n", 3),
+        # A long row: one field more than the header.
+        ("name,template,world,format\n"
+         "toy,fan_template.lad,fan_world.lad,lad,extra\n", 2)],
+        ids=["no-name-column", "short-row", "long-row"])
+    def test_malformed_manifest_is_an_error(self, capsys, tmp_path,
+                                            data_dir, text, line):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(text)
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, "--suite", str(data_dir),
+                               "--manifest", str(manifest), "--out", str(out),
+                               "--jobs", "1")
+        assert code == 2
+        assert f"error: manifest line {line}: " in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_missing_entry_reported_per_row(self, capsys, tmp_path, data_dir):

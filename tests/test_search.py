@@ -20,8 +20,9 @@ from eqmatch.search import (ALL_MODES, Mode, Slot, SolutionClass, _bits,
                             expansion_count_of, next_template_vertex, solve)
 from eqmatch.candidates import (build_candidate_structure, greedy_node_cover,
                                 init_candidates)
-from eqmatch.synth import (cover_problem, plant, random_multiplex_graph,
-                           random_problem, star_problem, toy_problem)
+from eqmatch.synth import (cover_problem, huge_count_problem, plant,
+                           random_multiplex_graph, random_problem,
+                           star_problem, toy_problem)
 
 from oracles import (brute_force_count, brute_force_solutions, ce_cells,
                      edge_ok, fe_cells, nc_cells, verify_mapping)
@@ -524,6 +525,17 @@ class TestDegenerateInputs:
     def test_invalid_timeout(self):
         with pytest.raises(ValueError):
             solve(toy_problem(), Mode.NE, timeout=0)
+
+    def test_nan_timeout_is_rejected(self):
+        # NaN fails every comparison: a ``timeout <= 0`` test would let it
+        # through, and a NaN deadline never passes.
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            solve(huge_count_problem(), Mode.NE, timeout=float("nan"),
+                  max_solutions=200000)
+
+    def test_infinite_timeout_is_allowed(self):
+        report, _ = solve(toy_problem(), Mode.NE, timeout=float("inf"))
+        assert (report.status, report.total) == ("completed", 18)
 
 
 class TestLimits:
