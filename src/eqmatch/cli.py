@@ -51,7 +51,7 @@ class RunConfig:
     def __post_init__(self):
         if not self.timeout > 0:  # NaN too
             raise ValueError("timeout must be positive")
-        if self.max_solutions is not None and self.max_solutions < 1:
+        if self.max_solutions is not None and not self.max_solutions >= 1:
             raise ValueError("max_solutions must be positive")
         if self.dump_candidate_structure and self.dot is None:
             raise ValueError("--dump-candidate-structure requires --dot")

@@ -10,15 +10,21 @@ A world vertex can appear in several slots' interchange classes; it is
 colored by the first such slot, and the full slot list is kept as a merge
 log so no membership information is lost.
 
-A class report costs one pass over the slot members (colors and merge log)
-plus one pass over the participants' world out-arcs. Each arc is decided
-by a per-class table of template requirements between slots, built from the
-template's arcs, and ``dominates`` runs once per distinct (world edge,
-requirement) pair within the call.
+A class report costs in proportion to what it outputs. Slots that share
+a cell (an equal members tuple) are grouped, and each distinct cell's
+vertices are colored, logged and recorded per color by dict operations
+that run in C; only a vertex that two distinct cells list is handled one
+at a time. With a template, each template arc from slot ``i``'s vertex to
+slot ``j``'s intersects the color-``j`` vertices with the out-arcs of each
+color-``i`` vertex (two dict views, which iterate the smaller side), so
+the arcs read are those between the two colors, not every participant's.
+``dominates`` runs once per distinct (world edge, requirement) pair within
+the call. Without a template every participant's out-arcs are read.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .candidates import _noncover
@@ -88,16 +94,23 @@ def induce_subgraph(world: MultiplexGraph, sc: SolutionClass,
     participants is kept.
     """
     slots = sc.slots
-    color_of: dict[int, int] = {}
-    merge: dict[int, list[int]] = {}
+    listing: dict[tuple[int, ...], list[int]] = {}  # members -> their slots
     for i, slot in enumerate(slots):
-        for c in slot.members:
-            log = merge.get(c)
-            if log is None:
-                color_of[c] = i
-                merge[c] = [i]
-            else:
-                log.append(i)
+        listing.setdefault(slot.members, []).append(i)
+    # Cells in the order of their first slot, which colors their vertices
+    # that no earlier cell holds.
+    color_of: dict[int, int] = {}
+    merge: dict[int, tuple[int, ...]] = {}
+    colored: list = [()] * len(slots)  # the vertices of each color
+    for members, log in listing.items():
+        log = tuple(log)
+        fresh = dict.fromkeys(members, log)
+        for c in merge.keys() & fresh.keys():
+            del fresh[c]
+            merge[c] = tuple(sorted(merge[c] + log))
+        merge.update(fresh)
+        color_of.update(dict.fromkeys(fresh, log[0]))
+        colored[log[0]] = fresh.keys()
     labels = {i: str(slot.template_vertex) for i, slot in enumerate(slots)}
     vertices = tuple(sorted(color_of))
     edges: list[tuple[int, int]] = []
@@ -106,38 +119,35 @@ def induce_subgraph(world: MultiplexGraph, sc: SolutionClass,
         for a in vertices:
             edges.extend((a, b) for b in out[a] if b in color_of)
     else:
-        # need[i][j]: the template edge from slot i's vertex to slot j's,
-        # built from the template's arcs rather than from all slot pairs.
+        # Each template arc from slot i's vertex to slot j's keeps, for
+        # every vertex of color i, its out-neighbours of color j whose world
+        # edge dominates the arc's requirement.
         slot_of = {slot.template_vertex: i for i, slot in enumerate(slots)}
-        need = [{slot_of[v]: req for v, req in
-                 template.out[slot.template_vertex].items() if v in slot_of}
-                for slot in slots]
         supports: dict[tuple, bool] = {}  # (world edge, requirement) -> dominates
-        for a in vertices:
-            row = need[color_of[a]]
-            if not row:
+        for i, slot in enumerate(slots):
+            if not colored[i]:
                 continue
-            for b, mult in out[a].items():
-                req = row.get(color_of.get(b))
-                if req is None:
+            for v, req in template.out[slot.template_vertex].items():
+                j = slot_of.get(v)
+                if j is None or not colored[j]:
                     continue
-                key = (mult, req)
-                ok = supports.get(key)
-                if ok is None:
-                    ok = supports[key] = dominates(mult, req)
-                if ok:
-                    edges.append((a, b))
+                heads = colored[j]
+                for a in colored[i]:
+                    arcs = out[a]
+                    for b in heads & arcs.keys():
+                        key = (arcs[b], req)
+                        ok = supports.get(key)
+                        if ok is None:
+                            ok = supports[key] = dominates(*key)
+                        if ok:
+                            edges.append((a, b))
     return ColoredSubgraph(directed, vertices, color_of, labels,
-                           tuple(sorted(edges)),
-                           {v: tuple(s) for v, s in merge.items()})
+                           tuple(sorted(edges)), merge)
 
 
 def compress(csg: ColoredSubgraph) -> CompressedSubgraph:
     """Join like-colored vertices into supernodes with size labels."""
-    sizes: dict[int, int] = {}
-    for v in csg.vertices:
-        color = csg.color_of[v]
-        sizes[color] = sizes.get(color, 0) + 1
+    sizes = Counter(map(csg.color_of.__getitem__, csg.vertices))
     supernodes = tuple((c, csg.color_labels.get(c, str(c)), sizes[c])
                        for c in sorted(sizes))
     edges: set[tuple[int, int]] = set()

@@ -30,18 +30,21 @@ candidates of the other members of the branching vertex's template class
 A solution class has one path and one count formula,
 :func:`~eqmatch.equivalence.interchange_count`. ``_Searcher._classes``
 yields each class weighed when it is created. With a template partition
-(TE, TEWE) that is ``count_tewe``, which re-verifies the map and applies
-the formula with its multinomial; in every other mode the template
-classes are singletons, and the class weighs the product of its slot
-multipliers, which is the formula for them. ``expansion_count_of``
-applies it to the slots of any mode. ``solve`` alone counts, streams,
-collects and stops, and ``expand_solution_class`` expands every mode by
-one quota search over the slots. Both searches keep an explicit stack
-(one frame per matched template vertex, one choice iterator per filled
-slot), so a template's size is not bounded by Python's recursion limit.
-The last level emits without a frame: once one template vertex is left
-unmatched, each entry of its branch list is a class, yielded as it is
-weighed, with no domain copy and no update of the match.
+that has a class of two or more vertices (TE, TEWE on a symmetric
+template) that is ``count_tewe``, which re-verifies the map and applies
+the formula with its multinomial; otherwise every template class is a
+singleton, and the class weighs the product of its slot multipliers,
+which is the formula for them. ``expansion_count_of`` applies it to the
+slots of any mode. ``solve`` alone counts, streams, collects and stops,
+and ``expand_solution_class`` expands every mode by one quota search over
+the slots. Both searches keep an explicit stack, so a template's size is
+not bounded by Python's recursion limit, and neither gives its last level
+a frame. The search keeps one frame per matched template vertex; once one
+template vertex is left unmatched, each entry of its branch list is a
+class, yielded as it is weighed, with no domain copy and no update of the
+match. The expander keeps one choice iterator per filled slot but the
+last, whose iterator it hands to the caller with ``yield from``, so a map
+costs one generator resume.
 
 One filter prunes the candidates: ``init_candidates`` applies the unary
 tests once, and ``_propagate`` keeps the domains arc consistent, from every
@@ -396,7 +399,10 @@ class _Searcher:
         self.wp = (find_equivalence_classes(self.w, deadline=deadline)
                    if rule.world_partition
                    else Partition.trivial(self.w.vertex_count))
-        self.rule, self.cells = rule, rule.cells
+        self.cells = rule.cells
+        # Only a template class of two or more vertices needs the
+        # multinomial of ``count_tewe``; singletons weigh their multipliers.
+        self.multinomial = any(len(c) > 1 for c in self.tp.classes)
         self.cover: frozenset[int] = (frozenset(greedy_node_cover(t))
                                       if rule.cells is _Searcher._nc_cells
                                       else frozenset())
@@ -577,7 +583,7 @@ class _Searcher:
                 for rep, members, mult in self._generate(u, jc):
                     if time.monotonic() >= deadline:
                         raise DeadlineExceeded
-                    if self.rule.template_partition:
+                    if self.multinomial:
                         count = count_tewe(self.problem, {**assigned, u: rep},
                                            self.tp, self.wp)
                     else:
@@ -630,8 +636,9 @@ def _group(labels: dict[int, object]) -> dict[object, int]:
 
 class _Rule(NamedTuple):
     """How a mode groups candidates into cells and weighs a class: a
-    template partition weighs by ``count_tewe``, every other mode by the
-    product of the slot multipliers."""
+    template partition with a class of two or more vertices weighs by
+    ``count_tewe``, every other case by the product of the slot
+    multipliers."""
 
     template_partition: bool  # interchange statically equivalent template vertices
     world_partition: bool     # interchange statically equivalent world vertices
@@ -662,7 +669,7 @@ def solve(problem: Problem, mode: Mode | str, timeout: float = 600.0,
     """
     if not timeout > 0:  # NaN too
         raise ValueError("timeout must be positive")
-    if max_solutions is not None and max_solutions < 1:
+    if max_solutions is not None and not max_solutions >= 1:  # NaN too
         raise ValueError("max_solutions must be positive")
     start = time.monotonic()
     nt = problem.template.vertex_count
@@ -771,12 +778,12 @@ def expand_solution_class(sc: SolutionClass):
         choice before the next; the last slot yields the full maps."""
         s = slots[i]
         if i == last:  # no later slot reads its swap or its mark
+            v = s.template_vertex
             for key, _ in options[i]:
                 if quota[key]:
-                    for m in key[1]:
-                        c = image.get(m, m)
+                    for c in map(image.get, key[1], key[1]):
                         if c not in taken:
-                            mapping[s.template_vertex] = c
+                            mapping[v] = c
                             yield dict(mapping)
             return
         r = image.get(s.world_vertex, s.world_vertex)
@@ -803,12 +810,14 @@ def expand_solution_class(sc: SolutionClass):
         yield {}
         return
     last = len(slots) - 1
-    stack = [choices(0)]  # one choice iterator per filled slot
-    while stack:
-        item = next(stack[-1], None)
-        if item is None:
-            stack.pop()
-        elif len(stack) == len(slots):
-            yield item
-        else:
+    stack = []  # one choice iterator per filled slot but the last
+    while True:
+        if len(stack) < last:
             stack.append(choices(len(stack)))
+        else:  # every earlier slot is filled: the last yields the maps
+            yield from choices(last)
+        # Fill the deepest slot with a choice left.
+        while stack and next(stack[-1], None) is None:
+            stack.pop()
+        if not stack:
+            return

@@ -6,7 +6,8 @@ a from-the-definition structural-equivalence partitioner, a swap-orbit
 enumerator for interchange counting, a standalone isomorphism verifier,
 per-candidate groupings of the FE, NC and CE cells (given the pair
 labels, which the caller supplies), a per-arc rule for the
-solution-induced subgraph of a class, a per-arc isomorphism checker,
+solution-induced subgraph of a class, a reference class expander whose
+map order the engine's must keep, a per-arc isomorphism checker,
 an interchange count that treats singleton classes like any other,
 the unary tests (label, degrees, self-loop) read one arc at a time, and
 reference LAD and multiplex parsers that read one token (or one line) at
@@ -301,6 +302,79 @@ def induced_subgraph_fields(world: MultiplexGraph, slots,
             edges.append((a, b))
     return {"vertices": tuple(sorted(color_of)), "color_of": color_of,
             "edges": tuple(edges), "merge_log": merge_log, "dropped": dropped}
+
+
+def expand_reference(sc):
+    """Every map of the class ``sc``, in the order the engine's expander
+    must keep: one choice iterator per filled slot, including the last,
+    and every map passed up through the stack loop.
+
+    The slots are filled in order. A template vertex takes an unused member
+    of any cell that its template class maps into, each cell as often as
+    the representative fills it from that class (its quota). Taking ``c``
+    from the vertex's own cell composes the world swap ``(r c)``, and later
+    cells are read through the swaps made so far."""
+    slots = sc.slots
+    quota: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    for s in slots:
+        key = (s.template_class, s.members)
+        quota[key] = quota.get(key, 0) + 1
+    options = [[(key, key[1] == s.members) for key in quota
+                if key[0] == s.template_class] for s in slots]
+    image: dict[int, int] = {}   # representative's world -> current world
+    source: dict[int, int] = {}  # the inverse; both default to the identity
+    taken: set[int] = set()
+    mapping: dict[int, int] = {}
+
+    def swap(r: int, c: int) -> None:
+        a, b = source.get(r, r), source.get(c, c)
+        image[a], image[b] = c, r
+        source[c], source[r] = a, b
+
+    def choices(i: int):
+        s = slots[i]
+        if i == last:
+            for key, _ in options[i]:
+                if quota[key]:
+                    for m in key[1]:
+                        c = image.get(m, m)
+                        if c not in taken:
+                            mapping[s.template_vertex] = c
+                            yield dict(mapping)
+            return
+        r = image.get(s.world_vertex, s.world_vertex)
+        for key, own in options[i]:
+            if not quota[key]:
+                continue
+            quota[key] -= 1
+            for m in key[1]:
+                c = image.get(m, m)
+                if c in taken:
+                    continue
+                moved = own and c != r
+                if moved:
+                    swap(r, c)
+                taken.add(c)
+                mapping[s.template_vertex] = c
+                yield True
+                taken.discard(c)
+                if moved:
+                    swap(r, c)
+            quota[key] += 1
+
+    if not slots:
+        yield {}
+        return
+    last = len(slots) - 1
+    stack = [choices(0)]
+    while stack:
+        item = next(stack[-1], None)
+        if item is None:
+            stack.pop()
+        elif len(stack) == len(slots):
+            yield item
+        else:
+            stack.append(choices(len(stack)))
 
 
 def parse_lad(text: str, directed: bool = True) -> Graph:

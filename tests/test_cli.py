@@ -100,6 +100,11 @@ class TestSingleRun:
         assert "max_solutions" in err and out == ""
         assert not out_path.exists()  # rejected before any file is opened
 
+    def test_nan_max_solutions_is_rejected(self, toy_paths):
+        t, w = toy_paths
+        with pytest.raises(ValueError, match="max_solutions must be positive"):
+            cli.RunConfig(template=t, world=w, max_solutions=float("nan"))
+
     def test_dump_classes(self, capsys, toy_paths):
         t, w = toy_paths
         code, out, _ = run_cli(capsys, "--template", t, "--world", w,

@@ -8,10 +8,11 @@ from eqmatch.candidates import init_candidates
 from eqmatch.graphs import Graph, Problem
 from eqmatch.reporting import (ColoredSubgraph, compress, export_dot,
                                induce_subgraph, venn_summary)
-from eqmatch.search import ALL_MODES, Mode, apply_filters, solve
+from eqmatch.search import (ALL_MODES, Mode, apply_filters,
+                            expand_solution_class, solve)
 from eqmatch.synth import cover_problem, random_problem, toy_problem
 
-from oracles import induced_subgraph_fields
+from oracles import expand_reference, induced_subgraph_fields
 
 
 def toy_ce_class():
@@ -103,6 +104,31 @@ class TestInduceSubgraphReference:
         csg = induce_subgraph(path, classes[0], path)
         assert csg.vertices == tuple(range(n))
         assert csg.edges == tuple((v, v + 1) for v in range(n - 1))
+
+
+class TestExpansionOrder:
+    """``expand_solution_class`` yields the reference expander's maps in the
+    reference's order, on the classes that the report is checked on."""
+
+    def test_same_maps_in_the_same_order_in_every_mode(self):
+        classes = 0
+        for p in TestInduceSubgraphReference.problems():
+            for mode in ALL_MODES:
+                for sc in solve(p, mode, timeout=30)[1]:
+                    classes += 1
+                    assert list(expand_solution_class(sc)) == \
+                        list(expand_reference(sc)), mode
+        assert classes > 1000
+
+    @pytest.mark.parametrize("mode", [Mode.WE, Mode.TEWE, Mode.FE])
+    def test_one_slot_class_of_several_members(self, mode):
+        # One isolated template vertex in four isolated world vertices: the
+        # class's one slot is its whole cell.
+        (sc,) = solve(Problem(Graph(1), Graph(4)), mode)[1]
+        assert len(sc.slots) == 1 and len(sc.slots[0].members) == 4
+        maps = list(expand_solution_class(sc))
+        assert maps == list(expand_reference(sc))
+        assert maps == [{0: c} for c in range(4)]
 
 
 class TestCompress:

@@ -675,12 +675,56 @@ class TestLimits:
         with pytest.raises(ValueError):
             solve(toy_problem(), Mode.NE, max_solutions=cap)
 
+    def test_nan_max_solutions_rejected(self):
+        # NaN fails every comparison: a ``max_solutions < 1`` test would let
+        # it through, and a NaN cap never truncates.
+        with pytest.raises(ValueError, match="max_solutions must be positive"):
+            solve(toy_problem(), Mode.NE, max_solutions=float("nan"))
+
     def test_streaming_callback(self):
         got = []
         report, classes = solve(toy_problem(), Mode.FE,
                                 on_class=got.append, collect=False)
         assert classes == []
         assert len(got) == report.representatives == 2
+
+
+class TestWeighing:
+    """TE and TEWE weigh a class by ``count_tewe`` only when a template
+    class has two or more vertices; otherwise by its slot multipliers."""
+
+    @pytest.mark.parametrize("world", [clique(5), directed_path(7)],
+                             ids=["clique5", "path7"])
+    def test_asymmetric_template_needs_no_count_tewe(self, world,
+                                                     monkeypatch):
+        def refuse(*args):
+            raise AssertionError("count_tewe called")
+
+        monkeypatch.setattr(search, "count_tewe", refuse)
+        p = Problem(directed_path(4), world)
+        for mode, twin in ((Mode.TE, Mode.NE), (Mode.TEWE, Mode.WE)):
+            report, classes = solve(p, mode)
+            want, twin_classes = solve(p, twin)
+            assert report.status == "completed"
+            assert report.total == want.total == brute_force_count(p)
+            assert [sc[1:] for sc in classes] == \
+                [sc[1:] for sc in twin_classes]
+
+    @pytest.mark.parametrize("mode", [Mode.TE, Mode.TEWE])
+    def test_symmetric_template_weighs_by_count_tewe(self, mode,
+                                                     monkeypatch):
+        calls = []
+        real = search.count_tewe
+
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(search, "count_tewe", counted)
+        report, classes = solve(star_problem(3, 6), mode)
+        assert report.total == 6 * 5 * 4  # the hub maps to the hub
+        assert len(calls) == len(classes) == report.representatives
+        assert calls == [sc.mapping() for sc in classes]
 
 
 class TestPairEquivalence:
