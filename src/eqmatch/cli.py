@@ -18,13 +18,13 @@ import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .graphs import Problem, parse_lad, parse_multiplex_edgelist
 from .candidates import (CandidateStructure, build_candidate_structure,
                          init_candidates)
-from .search import ALL_MODES, Mode, SolutionClass, solve
+from .search import ALL_MODES, Mode, SolutionClass, _check_limits, solve
 from .reporting import _dot, compress, export_dot, induce_subgraph
 
 
@@ -49,10 +49,7 @@ class RunConfig:
     pair_cap: int = 200
 
     def __post_init__(self):
-        if not self.timeout > 0:  # NaN too
-            raise ValueError("timeout must be positive")
-        if self.max_solutions is not None and not self.max_solutions >= 1:
-            raise ValueError("max_solutions must be positive")
+        _check_limits(self.timeout, self.max_solutions)
         if self.dump_candidate_structure and self.dot is None:
             raise ValueError("--dump-candidate-structure requires --dot")
         if self.pair_cap < 0:
@@ -102,13 +99,15 @@ def run(cfg: RunConfig, out=None) -> int:
         payload["classes"] = [sc.to_json() for sc in classes]
     if cfg.dot is not None:
         if cfg.dump_candidate_structure:
-            structure = build_candidate_structure(problem, init_candidates(problem))
-            if len(structure.nodes) > cfg.pair_cap:
-                print(f"candidate structure has {len(structure.nodes)} pair "
-                      f"nodes, above the cap of {cfg.pair_cap}; skipping dump",
+            csets = init_candidates(problem)
+            nodes = sum(len(cs) for cs in csets)  # the pair graph's node count
+            if nodes > cfg.pair_cap:
+                print(f"candidate structure has {nodes} pair nodes, above "
+                      f"the cap of {cfg.pair_cap}; skipping dump",
                       file=sys.stderr)
             else:
-                Path(cfg.dot).write_text(_pair_graph_dot(structure))
+                Path(cfg.dot).write_text(_pair_graph_dot(
+                    build_candidate_structure(problem, csets)))
         elif first:
             csg = induce_subgraph(problem.world, first[0], problem.template)
             Path(cfg.dot).write_text(export_dot(compress(csg)))
@@ -142,8 +141,7 @@ def run_suite(suite_dir: Path, manifest: Path, out_csv: Path,
     """Run every manifest instance under every mode. Each row is written
     and flushed as it arrives, in manifest order; the aggregates follow the
     last row."""
-    if not timeout > 0:  # NaN too
-        raise ValueError("timeout must be positive")
+    _check_limits(timeout)
     if jobs is not None and jobs < 1:
         raise ValueError("jobs must be positive")
     suite_dir, tasks = Path(suite_dir), []
@@ -231,14 +229,8 @@ def main(argv=None) -> int:
                              modes=modes, timeout=args.timeout, jobs=args.jobs)
         if args.template is None or args.world is None:
             raise ValueError("single runs require --template and --world")
-        cfg = RunConfig(template=args.template, world=args.world,
-                        format=args.format, mode=Mode(args.mode),
-                        timeout=args.timeout, max_solutions=args.max_solutions,
-                        solutions=args.solutions,
-                        dump_classes=args.dump_classes,
-                        dump_candidate_structure=args.dump_candidate_structure,
-                        dot=args.dot, pair_cap=args.pair_cap)
-        return run(cfg)
+        return run(RunConfig(**{f.name: getattr(args, f.name)
+                                for f in fields(RunConfig)}))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

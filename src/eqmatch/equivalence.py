@@ -1,9 +1,9 @@
 """Static structural-equivalence partitioning and interchange counting.
 
-Two vertices are structurally equivalent when their neighborhoods coincide
-once the pair itself is excluded: every third vertex sees them identically
-in every channel, any edges between the two are mutual with equal
-multiplicity, and (when present) their labels and self-loops agree.
+Two vertices are structurally equivalent when swapping them leaves the
+graph unchanged: every third vertex sees them identically in every
+channel, any edges between the two are mutual with equal multiplicity,
+and (when present) their labels and self-loops agree.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from math import factorial
 
 from .graphs import MultiplexGraph, Problem, is_subgraph_isomorphism
 
-_SELF = object()  # sentinel for self-loop keys in neighbor signatures
 _CHECK_EVERY = 256  # vertices between deadline checks
 
 
@@ -57,66 +56,49 @@ class Partition:
 
 
 def structurally_equivalent(g: MultiplexGraph, v: int, w: int) -> bool:
-    """Decide whether ``v`` and ``w`` can be swapped without changing ``g``."""
+    """Decide whether ``v`` and ``w`` can be swapped without changing ``g``:
+    equal labels and self-loops, any arcs between the two mutual with equal
+    multiplicity, and equal arcs to and from every third vertex (the arcs
+    on which the two dicts differ all lead to ``v`` or ``w``)."""
     g._check_vertex(v)
     g._check_vertex(w)
-    if v == w:
-        return True
-    if g.label(v) != g.label(w):
-        return False
-    # Any edges between the pair must be mutual with equal multiplicity,
-    # and self-loops must agree (a swap would otherwise alter the graph).
-    if g.edge(v, w) != g.edge(w, v):
-        return False
-    if g.edge(v, v) != g.edge(w, w):
-        return False
-    skip = (v, w)
-    for a, b in ((v, w), (w, v)):
-        for u, mult in g.out[a].items():
-            if u in skip:
-                continue
-            if g.edge(b, u) != mult:
-                return False
-        for u, mult in g.inn[a].items():
-            if u in skip:
-                continue
-            if g.edge(u, b) != mult:
-                return False
-    return True
+    out, inn, pair = g.out, g.inn, {v, w}
+    return v == w or (
+        g.label(v) == g.label(w)
+        and out[v].get(v) == out[w].get(w)
+        and out[v].get(w) == out[w].get(v)
+        and {u for u, _ in out[v].items() ^ out[w].items()} <= pair
+        and {u for u, _ in inn[v].items() ^ inn[w].items()} <= pair)
 
 
 def _signature(g: MultiplexGraph, v: int):
-    out_sig = frozenset((_SELF if u == v else u, m) for u, m in g.out[v].items())
-    in_sig = frozenset((_SELF if u == v else u, m) for u, m in g.inn[v].items())
-    return (g.label(v), out_sig, in_sig)
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+    """``(label, self-loop, out-arcs, in-arcs)`` of ``v``, the arc sets
+    without the self-loop: two vertices share it exactly when they are
+    non-adjacent and structurally equivalent (open twins)."""
+    out, inn = g.out[v], g.inn[v]
+    loop = out.get(v)
+    if loop is None:
+        return (g.label(v), None, frozenset(out.items()),
+                frozenset(inn.items()))
+    own = ((v, loop),)
+    return (g.label(v), loop, frozenset(out.items()).difference(own),
+            frozenset(inn.items()).difference(own))
 
 
 def find_equivalence_classes(g: MultiplexGraph,
                              deadline: float | None = None) -> Partition:
     """Compute the maximal structural-equivalence partition of ``g``.
 
-    Non-adjacent equivalent vertices share an exact neighbor signature, so a
-    hash pass groups them in near-linear time; equivalent vertices that are
-    adjacent to each other (mutual-edge pairs) are caught by testing each
-    edge pairwise, and only when the two have equal out- and in-neighbour
-    counts: a swap maps one neighbourhood onto the other, so unequal
-    counts rule the pair out. The result is independent of visit order.
+    A class of two or more vertices is either pairwise non-adjacent (open
+    twins: equal neighbourhoods) or a clique of mutual arcs of one tuple
+    (closed twins), never mixed: if ``v`` were equivalent to a non-neighbour
+    ``w`` and to a neighbour ``x``, swapping ``v`` and ``x`` would move the
+    edge ``x``-``w`` onto ``v``-``w``. So a hash pass groups the vertices by
+    :func:`_signature`, and every open-twin class comes out whole; then a
+    scan in vertex order lets each vertex not yet placed start its clique,
+    whose other members are its out-neighbours above it that are not yet
+    placed, have the same out- and in-neighbour counts (a swap maps one
+    neighbourhood onto the other) and pass :func:`structurally_equivalent`.
     Given a ``deadline`` (a ``time.monotonic()`` value), both passes check
     it every few hundred vertices and raise :class:`DeadlineExceeded` once
     it has passed.
@@ -127,28 +109,29 @@ def find_equivalence_classes(g: MultiplexGraph,
             raise DeadlineExceeded
 
     n = g.vertex_count
-    uf = _UnionFind(n)
-    by_sig: dict[object, int] = {}
+    by_sig: dict[object, list[int]] = {}
     for v in range(n):
         check(v)
-        sig = _signature(g, v)
-        if sig in by_sig:
-            uf.union(by_sig[sig], v)
-        else:
-            by_sig[sig] = v
+        by_sig.setdefault(_signature(g, v), []).append(v)
+    groups = [grp for grp in by_sig.values() if len(grp) > 1]
+    del by_sig  # the signatures, most of the pass's memory, go here
+    placed = [False] * n
+    for grp in groups:
+        for v in grp:
+            placed[v] = True
     out, inn = g.out, g.inn
     for v in range(n):
         check(v)
+        if placed[v]:
+            continue
         nout, nin = len(out[v]), len(inn[v])
-        for w in out[v]:
-            if (w != v and len(out[w]) == nout and len(inn[w]) == nin
-                    and uf.find(v) != uf.find(w)
-                    and structurally_equivalent(g, v, w)):
-                uf.union(v, w)
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(uf.find(v), []).append(v)
-    return Partition.from_groups(list(groups.values()), n)
+        clique = [v] + [w for w in out[v] if w > v and not placed[w]
+                        and len(out[w]) == nout and len(inn[w]) == nin
+                        and structurally_equivalent(g, v, w)]
+        for w in clique:
+            placed[w] = True
+        groups.append(clique)
+    return Partition.from_groups(groups, n)
 
 
 def count_factorial_lower_bound(p: Partition) -> int:

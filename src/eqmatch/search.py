@@ -656,6 +656,15 @@ _RULES = {
 }
 
 
+def _check_limits(timeout: float, max_solutions: int | None = None) -> None:
+    """Raise ``ValueError`` unless ``timeout`` is positive and
+    ``max_solutions``, when given, is at least 1 (NaN fails both)."""
+    if not timeout > 0:
+        raise ValueError("timeout must be positive")
+    if max_solutions is not None and not max_solutions >= 1:
+        raise ValueError("max_solutions must be positive")
+
+
 def solve(problem: Problem, mode: Mode | str, timeout: float = 600.0,
           max_solutions: int | None = None, on_class=None,
           collect: bool = True) -> tuple[SearchReport, list[SolutionClass]]:
@@ -667,10 +676,7 @@ def solve(problem: Problem, mode: Mode | str, timeout: float = 600.0,
     and the classes are disjoint and jointly exhaustive; after a timeout or
     a ``max_solutions`` stop the counts are lower bounds.
     """
-    if not timeout > 0:  # NaN too
-        raise ValueError("timeout must be positive")
-    if max_solutions is not None and not max_solutions >= 1:  # NaN too
-        raise ValueError("max_solutions must be positive")
+    _check_limits(timeout, max_solutions)
     start = time.monotonic()
     nt = problem.template.vertex_count
     representatives = total = 0

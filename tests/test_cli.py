@@ -163,6 +163,22 @@ class TestSingleRun:
         assert "above the cap" in err
         assert not dot.exists()
 
+    def test_candidate_structure_cap_is_checked_first(
+            self, capsys, monkeypatch, tmp_path, toy_paths):
+        # The node count comes from the candidate sets: a structure over
+        # the cap is never built.
+        def build(*args):
+            raise AssertionError("pair graph built over the cap")
+        monkeypatch.setattr(cli, "build_candidate_structure", build)
+        t, w = toy_paths
+        dot = tmp_path / "pairs.dot"
+        code, _, err = run_cli(capsys, "--template", t, "--world", w,
+                               "--dump-candidate-structure", "--dot", str(dot),
+                               "--pair-cap", "3")
+        assert code == 0
+        assert "above the cap of 3; skipping dump" in err
+        assert not dot.exists()
+
     @pytest.mark.parametrize("flags,message", [
         (["--dump-candidate-structure"], "requires --dot"),
         (["--dump-candidate-structure", "--dot", "pairs.dot",

@@ -23,6 +23,27 @@ def undirected(n, pairs):
     return g
 
 
+def directed(n, arcs):
+    g = Graph(n)
+    for a, b in arcs:
+        g.add_edge(a, b)
+    return g
+
+
+def multiplex_clique_with_apex():
+    """0, 1, 2 joined by mutual arcs of tuple (2, 1); apex 3 is joined to
+    each by mutual arcs of (1, 0), so it has 0's out- and in-neighbour
+    counts and is 0's neighbour above it, yet no twin of it."""
+    g = MultiplexGraph(4, 2)
+    for a, b, ties in [(0, 1, (2, 1)), (0, 2, (2, 1)), (1, 2, (2, 1)),
+                       (0, 3, (1, 0)), (1, 3, (1, 0)), (2, 3, (1, 0))]:
+        for channel, mult in enumerate(ties, 1):
+            if mult:
+                g.add_edge(a, b, channel, mult)
+                g.add_edge(b, a, channel, mult)
+    return g
+
+
 def mutual_pair(forward, backward):
     """0 -> 1 and 1 -> 0 with the given multiplicities, both seen by 2."""
     g = MultiplexGraph(3, 1)
@@ -116,7 +137,9 @@ class TestFindEquivalenceClasses:
     def test_empty_graph(self):
         assert find_equivalence_classes(Graph(0)).classes == ()
 
-    # Adjacent pairs reach the pairwise test only with equal out- and
+    # A class is pairwise non-adjacent (open twins, one signature) or a
+    # clique of mutual arcs of one tuple, scanned from its lowest member;
+    # adjacent pairs reach the pairwise test only with equal out- and
     # in-neighbour counts.
     @pytest.mark.parametrize("graph, classes", [
         # K_6: every pair is adjacent, with equal counts.
@@ -130,7 +153,23 @@ class TestFindEquivalenceClasses:
         (undirected(4, [(2, 0), (0, 1), (1, 3)]), [(0,), (1,), (2,), (3,)]),
         # 0 -> 1 twice, 1 -> 0 once: equal counts, unequal directions.
         (mutual_pair(2, 1), [(0,), (1,), (2,)]),
-    ], ids=["k6", "k6-pendant", "path-equal-counts", "mutual-unequal"])
+        (multiplex_clique_with_apex(), [(0, 1, 2), (3,)]),
+        # Hub 0; leaves 2, 4, 6 are open twins; 1, 3, 5 form a triangle
+        # whose members all see the hub.
+        (undirected(7, [(0, v) for v in range(1, 7)]
+                    + [(1, 3), (1, 5), (3, 5)]),
+         [(0,), (1, 3, 5), (2, 4, 6)]),
+        # Open, then closed, twins of 2 but for 0's self-loop.
+        (directed(3, [(2, 0), (2, 1), (0, 0)]), [(0,), (1,), (2,)]),
+        (directed(3, [(0, 1), (1, 0), (2, 0), (2, 1), (0, 0)]),
+         [(0,), (1,), (2,)]),
+        # Both tied to 2, but 0 -> 2 and 2 -> 1.
+        (directed(3, [(0, 2), (2, 1)]), [(0,), (1,), (2,)]),
+        # Both seen by 2, but their own tie runs one way.
+        (directed(3, [(0, 1), (2, 0), (2, 1)]), [(0,), (1,), (2,)]),
+    ], ids=["k6", "k6-pendant", "path-equal-counts", "mutual-unequal",
+            "multiplex-clique-apex", "twins-and-clique", "twins-self-loop",
+            "clique-self-loop", "hub-tie-direction", "pair-tie-direction"])
     def test_prefiltered_pairs(self, graph, classes):
         got = list(find_equivalence_classes(graph).classes)
         assert got == classes
@@ -250,3 +289,6 @@ def test_partition_members_pairwise_equivalent(g):
     for cls in p.classes:
         for v in cls:
             assert structurally_equivalent(g, cls[0], v)
+        # Never mixed: all-adjacent (a clique) or all-non-adjacent (twins).
+        ties = {g.has_edge(v, w) for v in cls for w in cls if v != w}
+        assert len(ties) <= 1, cls
