@@ -1,7 +1,11 @@
 """Command-line front end: single-instance runs and benchmark suites.
 
 Single runs print a JSON report to stdout; counts are serialized as decimal
-strings since they may exceed native integer width. Suites read a CSV
+strings since they may exceed native integer width. ``--solutions`` streams
+one JSONL line per class, byte-equal to ``json.dumps(sc.to_json())``: the
+text of every slot but the last is built once and kept while consecutive
+classes share those slots (as the classes of one search node do), so a
+line costs in proportion to its last slot. Suites read a CSV
 manifest (``name,template,world,format``), fan instances out over a process
 pool, and write one CSV row per (instance, mode) as it arrives, then
 per-mode aggregate rows with the fully-enumerated proportion and mean
@@ -26,10 +30,6 @@ from .candidates import (CandidateStructure, build_candidate_structure,
                          init_candidates)
 from .search import ALL_MODES, Mode, SolutionClass, _check_limits, solve
 from .reporting import _dot, compress, export_dot, induce_subgraph
-
-
-# One encoder for every JSONL line; its text equals ``json.dumps``'s.
-_encode = json.JSONEncoder(check_circular=False).encode
 
 
 @dataclass
@@ -82,11 +82,25 @@ def run(cfg: RunConfig, out=None) -> int:
     problem = load_problem(cfg.template, cfg.world, cfg.format)
     first: list[SolutionClass] = []  # only the first class is drawn
     stream = None if cfg.solutions is None else open(cfg.solutions, "w")
+    head, prefix = None, ""  # the last line's slots but its last, as text
     def on_class(sc):
+        nonlocal head, prefix
         if not first:
             first.append(sc)
-        if stream is not None:
-            stream.write(_encode(sc.to_json()) + "\n")
+        if stream is None:
+            return
+        if not sc.slots:  # the empty template's one class
+            stream.write(f'{{"assignments": [], "count": "{sc.count}"}}\n')
+            return
+        # The last level yields its classes with the same head slots, so
+        # this compare is an identity check there.
+        if sc.slots[:-1] != head:
+            head = sc.slots[:-1]
+            prefix = '{"assignments": [' + "".join(
+                f"[{s.template_vertex}, {list(s.members)}], " for s in head)
+        s = sc.slots[-1]
+        stream.write(f'{prefix}[{s.template_vertex}, {list(s.members)}]], '
+                     f'"count": "{sc.count}"}}\n')
     try:
         report, classes = solve(problem, cfg.mode, timeout=cfg.timeout,
                                 max_solutions=cfg.max_solutions,

@@ -288,23 +288,24 @@ class _Rows:
         is (or becomes) part of a memoised entry. Once it is spent, the bits
         of the rows not memoised are set in one byte buffer, so that the
         cost stays linear in their arcs instead of growing with
-        |cs| x |V_w|."""
+        |cs| x |V_w|; the buffer is made only when some row is missing."""
         masks, i, m = self.masks, self.i, 0
         if masks.budget[0]:
             for c in cs:
                 m |= masks[c][i]
             return m
-        accepts, adj = masks.accepts, masks.adj
-        buf = bytearray((len(adj) + 7) // 8)
+        accepts, adj, buf = masks.accepts, masks.adj, None
         for c in cs:
             row = masks.get(c)
             if row is not None:
                 m |= row[i]
                 continue
+            if buf is None:
+                buf = bytearray((len(adj) + 7) // 8)
             for c2, e in adj[c].items():
                 if i in accepts[e]:
                     buf[c2 >> 3] |= 1 << (c2 & 7)
-        return m | int.from_bytes(buf, "little")
+        return m if buf is None else m | int.from_bytes(buf, "little")
 
 
 _ROW_BYTES = 16 << 20  # memoised support masks per solve
@@ -349,6 +350,8 @@ def _propagate(tnbrs, jc: list[int], changed,
     the OR of the masks of x's candidates (one mask when ``x`` is matched).
     A neighbour that loses candidates is queued again. Out- and in-support
     are independent: each may come from a different candidate of ``x``.
+    The candidates of ``x`` are decoded only when it has a neighbour to
+    revise, so a vertex whose neighbours are all matched costs one pop.
 
     The vertices in ``matched`` are never revised. When ``y`` was matched
     to ``r``, it was popped and every neighbour was revised against
@@ -362,11 +365,13 @@ def _propagate(tnbrs, jc: list[int], changed,
         if deadline is not None and time.monotonic() >= deadline:
             raise DeadlineExceeded
         x = queue.popitem()[0]
-        xbits = _bits(jc[x])
+        xbits = None  # x's candidates, decoded for its first unmatched y
         unions = {}  # one OR per row view: neighbours often share views
         for y, out, inn in tnbrs[x]:
             if y in matched:
                 continue
+            if xbits is None:
+                xbits = _bits(jc[x])
             keep = dy = jc[y]
             for rows in (out, inn):
                 if rows is not None:

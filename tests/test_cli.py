@@ -2,6 +2,7 @@
 
 import csv
 import json
+import random
 
 import pytest
 
@@ -10,7 +11,8 @@ from eqmatch.cli import load_problem, main
 from eqmatch.graphs import serialize_lad, serialize_multiplex_edgelist
 from eqmatch.reporting import compress, export_dot, induce_subgraph
 from eqmatch.search import ALL_MODES, Mode, Slot, SolutionClass, solve
-from eqmatch.synth import cover_problem, toy_problem
+from eqmatch.synth import (cover_problem, random_problem, star_problem,
+                           toy_problem)
 
 
 @pytest.fixture
@@ -22,6 +24,34 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def write_multiplex(tmp_path, problem):
+    paths = (tmp_path / "t.txt", tmp_path / "w.txt")
+    paths[0].write_text(serialize_multiplex_edgelist(problem.template))
+    paths[1].write_text(serialize_multiplex_edgelist(problem.world))
+    return paths
+
+
+def assert_stream_is_json_dumps(capsys, tmp_path, t, w, mode,
+                                fmt="multiplex", max_solutions=None,
+                                want=None):
+    """Stream ``--solutions`` and check that its lines are, byte for byte,
+    ``json.dumps(sc.to_json())`` of the library's classes (or ``want``);
+    returns the lines."""
+    out_path = tmp_path / "classes.jsonl"
+    cap = [] if max_solutions is None else ["--max-solutions",
+                                            str(max_solutions)]
+    code, _, _ = run_cli(capsys, "--template", str(t), "--world", str(w),
+                         "--format", fmt, "--mode", mode,
+                         "--solutions", str(out_path), *cap)
+    assert code == 0
+    if want is None:
+        _, classes = solve(load_problem(t, w, fmt), mode,
+                           max_solutions=max_solutions)
+        want = [json.dumps(sc.to_json()) + "\n" for sc in classes]
+    assert out_path.read_bytes() == "".join(want).encode()
+    return want
 
 
 class TestSingleRun:
@@ -87,6 +117,46 @@ class TestSingleRun:
             _, classes = solve(load_problem(t, w, "lad"), mode)
             want = "".join(json.dumps(sc.to_json()) + "\n" for sc in classes)
             assert classes and out_path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("mode", [m.value for m in ALL_MODES])
+    def test_solutions_lines_equal_json_dumps_star(self, capsys, tmp_path,
+                                                   mode):
+        # Star WE, TEWE, CE and FE cells have many members; a capped run
+        # streams the library's first three classes (NE and TE have more).
+        t, w = write_multiplex(tmp_path, star_problem(5, 9))
+        want = assert_stream_is_json_dumps(capsys, tmp_path, t, w, mode)
+        assert want
+        assert_stream_is_json_dumps(capsys, tmp_path, t, w, mode,
+                                    max_solutions=3, want=want[:3])
+
+    @pytest.mark.parametrize("mode", [m.value for m in ALL_MODES])
+    def test_solutions_lines_equal_json_dumps_random(self, capsys, tmp_path,
+                                                     mode):
+        # ``scripts/class_dump.py``'s generator: self-loops, 1-3 channels,
+        # directed and undirected.
+        rng, lines, channels = random.Random(0xD0), 0, set()
+        for i in range(10):
+            problem = random_problem(
+                rng, template_size=(3, 6), world_size=(6, 11),
+                channels=(1, 2, 3), edge_prob=rng.choice([0.2, 0.3, 0.45]),
+                planted=i % 5 != 4, self_loops=i % 3 == 0,
+                directed=i % 2 == 0)
+            channels.add(problem.world.channels)
+            t, w = write_multiplex(tmp_path, problem)
+            lines += len(assert_stream_is_json_dumps(capsys, tmp_path, t, w,
+                                                     mode))
+        assert lines and channels == {1, 2, 3}
+
+    @pytest.mark.parametrize("mode", [m.value for m in ALL_MODES])
+    def test_solutions_line_of_the_empty_template(self, capsys, tmp_path,
+                                                  mode):
+        p = toy_problem()
+        t, w = tmp_path / "t.lad", tmp_path / "w.lad"
+        t.write_text("0\n")
+        w.write_text(serialize_lad(p.world))
+        want = assert_stream_is_json_dumps(capsys, tmp_path, t, w, mode,
+                                           fmt="lad")
+        assert want == ['{"assignments": [], "count": "1"}\n']
 
     @pytest.mark.parametrize("cap", ["0", "-3"])
     def test_max_solutions_below_one_is_an_error(self, capsys, tmp_path,

@@ -289,6 +289,26 @@ class TestPropagate:
                     jc, matched = nxt, {**matched, u: s.world_vertex}
         assert compared >= 200 and wiped >= 20
 
+    def test_no_decode_when_every_neighbour_is_matched(self, monkeypatch):
+        # Directed paths 0 -> 1 -> 2 in 0 -> ... -> 4, with 0 and 2
+        # matched: popping 0 decodes its domain to revise 1; popping 1
+        # then has no neighbour to revise, so its domain is not decoded.
+        t, w = Graph(3), Graph(5)
+        for g in (t, w):
+            for v in range(g.vertex_count - 1):
+                g.add_edge(v, v + 1)
+        tnbrs = _support_masks(t, w)[0]
+        decoded = []
+        def bits(d):
+            decoded.append(d)
+            return _bits(d)
+        monkeypatch.setattr(search, "_bits", bits)
+        jc = [1 << 0, 0b11111, 1 << 2]
+        _propagate(tnbrs, jc, [1], matched={0: 0, 2: 2})
+        assert decoded == [] and jc == [1 << 0, 0b11111, 1 << 2]
+        _propagate(tnbrs, jc, [0], matched={0: 0, 2: 2})
+        assert decoded == [1 << 0] and jc == [1 << 0, 1 << 1, 1 << 2]
+
 
 def check_expansions(p, mode, total):
     """Every class expands to exactly its count of distinct verified maps,
