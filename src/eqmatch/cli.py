@@ -158,6 +158,9 @@ def run_suite(suite_dir: Path, manifest: Path, out_csv: Path,
     _check_limits(timeout)
     if jobs is not None and jobs < 1:
         raise ValueError("jobs must be positive")
+    modes = [Mode(m) for m in modes]
+    if not modes or len(set(modes)) < len(modes):
+        raise ValueError("modes must name at least one mode, each once")
     suite_dir, tasks = Path(suite_dir), []
     with open(manifest, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -167,7 +170,7 @@ def run_suite(suite_dir: Path, manifest: Path, out_csv: Path,
                 raise ValueError(f"manifest line {reader.line_num}: need "
                                  "name, template and world, one per column")
             t, w = suite_dir / rec["template"], suite_dir / rec["world"]
-            tasks += [(rec["name"], t, w, rec.get("format", "lad"), Mode(mode),
+            tasks += [(rec["name"], t, w, rec.get("format", "lad"), mode,
                        timeout) for mode in modes]
     if jobs is None:
         jobs = os.cpu_count() or 1
@@ -185,7 +188,7 @@ def run_suite(suite_dir: Path, manifest: Path, out_csv: Path,
             fh.flush()
             rows.append(row)
         for mode in modes:
-            mrows = [r for r in rows if r["mode"] == Mode(mode).value
+            mrows = [r for r in rows if r["mode"] == mode.value
                      and not r["status"].startswith("error")]
             if not mrows:
                 continue
@@ -193,7 +196,7 @@ def run_suite(suite_dir: Path, manifest: Path, out_csv: Path,
             rates = [r["compression_rate"] for r in mrows
                      if r["compression_rate"] is not None]
             writer.writerow({
-                "instance": "__aggregate__", "mode": Mode(mode).value,
+                "instance": "__aggregate__", "mode": mode.value,
                 "fully_enumerated_proportion": f"{done / len(mrows):.6g}",
                 "mean_compression_rate":
                     f"{sum(rates) / len(rates):.6g}" if rates else "",

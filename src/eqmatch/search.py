@@ -48,7 +48,11 @@ costs one generator resume.
 
 One filter prunes the candidates: ``init_candidates`` applies the unary
 tests once, and ``_propagate`` keeps the domains arc consistent, from every
-vertex at the root and from the branching vertex's template class below.
+vertex at the root and from the branching vertex's template class below,
+the branching vertex popped first. After a sibling prune its template
+siblings are still nearly as wide as the world; its one image narrows
+each adjacent sibling to the neighbours of that image before the sibling's
+own candidates are unioned. The closure is the same in any order.
 A matched vertex is never revised: its image kept its support when it was
 matched, and stays supported while its neighbours' domains are non-empty.
 
@@ -567,7 +571,8 @@ class _Searcher:
         while True:
             # ``_propagate`` checks the deadline before its first pop, and
             # ``changed`` is never empty: every vertex at the root, the
-            # branching vertex's template class below.
+            # branching vertex's template class below, that vertex popped
+            # first.
             _propagate(self.tnbrs, jc, changed, deadline, assigned)
             free = ~self.used
             sizes = {v: (jc[v] & free).bit_count()
@@ -619,10 +624,13 @@ class _Searcher:
             assigned[u] = rep
             self.used |= 1 << rep
             slots.append(Slot(u, tclass, rep, members, mult))
-            # The prune above may have shrunk u's template siblings.
+            # The prune above may have shrunk u's template siblings. The
+            # queue pops last-in first, so u goes last: its one image
+            # narrows each adjacent sibling before that sibling, still
+            # nearly as wide as the world, is unioned.
             jc = list(jc)
             jc[u] = 1 << rep
-            changed = tclass
+            changed = (*(v for v in tclass if v != u), u)
 
 
 def _split(cells: list[int], d: int) -> list[int]:

@@ -364,6 +364,20 @@ class TestSuite:
         assert "error: jobs must be positive" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("modes", [",", "ne,ne"], ids=["none", "twice"])
+    def test_no_mode_or_a_repeated_mode_is_an_error(self, capsys, tmp_path,
+                                                    data_dir, modes):
+        manifest = self.write_manifest(tmp_path, [
+            {"name": "toy", "template": "fan_template.lad",
+             "world": "fan_world.lad", "format": "lad"}])
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, "--suite", str(data_dir),
+                               "--manifest", str(manifest), "--out", str(out),
+                               "--modes", modes, "--jobs", "1")
+        assert code == 2
+        assert "error: modes must name at least one mode, each once" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text,line", [
         # No name column.
         ("template,world,format\nfan_template.lad,fan_world.lad,lad\n", 2),

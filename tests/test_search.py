@@ -25,7 +25,8 @@ from eqmatch.synth import (cover_problem, huge_count_problem, plant,
                            star_problem, toy_problem)
 
 from oracles import (brute_force_count, brute_force_solutions, ce_cells,
-                     edge_ok, fe_cells, nc_cells, verify_mapping)
+                     edge_ok, fe_cells, naive_structural_partition, nc_cells,
+                     verify_mapping)
 
 TOY_REPRESENTATIVES = {Mode.NE: 18, Mode.TE: 9, Mode.WE: 10, Mode.TEWE: 6,
                        Mode.CE: 5, Mode.FE: 2, Mode.NC: 2}
@@ -309,6 +310,39 @@ class TestPropagate:
         _propagate(tnbrs, jc, [0], matched={0: 0, 2: 2})
         assert decoded == [1 << 0] and jc == [1 << 0, 1 << 1, 1 << 2]
 
+    def test_static_modes_read_rows_like_ne(self, monkeypatch):
+        # After the sibling prune a child pops its branching vertex before
+        # its template siblings, so TE and TEWE union about as many rows
+        # as NE; popping a sibling first reads 17-129x NE's here.
+        rng = random.Random(1000)
+        world = Graph(1000)
+        for _ in range(3000):
+            a, b = rng.sample(range(1000), 2)
+            world.add_edge(a, b)
+            world.add_edge(b, a)
+        rows = [0]
+        union = search._Rows.union
+        def counted(self, cs):
+            rows[0] += len(cs)
+            return union(self, cs)
+        monkeypatch.setattr(search._Rows, "union", counted)
+        for cycle in (3, 4):
+            t = Graph(cycle)
+            for v in range(cycle):
+                t.add_edge(v, (v + 1) % cycle)
+                t.add_edge((v + 1) % cycle, v)
+            read, totals = {}, set()
+            for mode in (Mode.NE, Mode.TE, Mode.TEWE):
+                rows[0] = 0
+                report, _ = solve(Problem(t, world, directed=False), mode,
+                                  collect=False)
+                assert report.status == "completed", (cycle, mode)
+                read[mode] = rows[0]
+                totals.add(report.total)
+            assert len(totals) == 1 and totals != {0}, cycle
+            assert read[Mode.TE] <= 2 * read[Mode.NE], (cycle, read)
+            assert read[Mode.TEWE] <= 2 * read[Mode.NE], (cycle, read)
+
 
 def check_expansions(p, mode, total):
     """Every class expands to exactly its count of distinct verified maps,
@@ -474,37 +508,74 @@ def node_domains(searcher, p, prefix):
     return jc if all(jc) else None
 
 
+def builder_problems(rng):
+    """40 random problems, some with self-loops, some undirected."""
+    for i in range(40):
+        yield random_problem(rng, template_size=(3, 5), world_size=(6, 10),
+                             channels=(1, 2, 3),
+                             edge_prob=rng.choice([0.3, 0.5]),
+                             self_loops=i % 3 == 0, directed=i % 2 == 0)
+
+
+def builder_nodes(problems, modes):
+    """``(i, p, mode, searcher, prefix, jc)`` for each problem, at the root
+    and below one or two assignments of each mode's first three classes,
+    with the searcher's matched state set to the node's."""
+    for i, p in enumerate(problems):
+        for mode in modes:
+            searcher = _Searcher(p, mode, time.monotonic() + 30)
+            _, classes = solve(p, mode, max_solutions=3)
+            prefixes = {tuple((s.template_vertex, s.world_vertex)
+                              for s in sc.slots[:k])
+                        for sc in classes for k in range(3)} | {()}
+            for prefix in sorted(prefixes):
+                jc = node_domains(searcher, p, prefix)
+                if jc is not None:
+                    yield i, p, mode, searcher, prefix, jc
+
+
 class TestCellPartitions:
     def test_builders_match_reference(self, rng):
-        # At the root and below one or two assignments, every unmatched
-        # vertex's cells equal the per-candidate grouping, as sets of sets.
+        # Every unmatched vertex's cells equal the per-candidate grouping,
+        # as sets of sets.
         split = 0
-        for i in range(40):
-            p = random_problem(rng, template_size=(3, 5), world_size=(6, 10),
-                               channels=(1, 2, 3),
-                               edge_prob=rng.choice([0.3, 0.5]),
-                               self_loops=i % 3 == 0, directed=i % 2 == 0)
-            for mode in (Mode.FE, Mode.NC, Mode.CE):
-                searcher = _Searcher(p, mode, time.monotonic() + 30)
-                _, classes = solve(p, mode, max_solutions=3)
-                prefixes = {tuple((s.template_vertex, s.world_vertex)
-                                  for s in sc.slots[:k])
-                            for sc in classes for k in range(3)} | {()}
-                for prefix in sorted(prefixes):
-                    jc = node_domains(searcher, p, prefix)
-                    if jc is None:
-                        continue
-                    domains = [set(_bits(d)) for d in jc]
-                    unmatched = [v for v in range(len(jc))
-                                 if v not in dict(prefix)]
-                    for u in unmatched:
-                        got = {frozenset(_bits(cell))
-                               for cell in searcher.cells(searcher, u, jc)}
-                        assert got == reference_cells(
-                            searcher, mode, u, jc, domains, unmatched), \
-                            (i, mode, prefix, u)
-                        split += len(domains[u]) - len(got)
+        for i, _, mode, searcher, prefix, jc in builder_nodes(
+                builder_problems(rng), (Mode.FE, Mode.NC, Mode.CE)):
+            domains = [set(_bits(d)) for d in jc]
+            unmatched = [v for v in range(len(jc)) if v not in dict(prefix)]
+            for u in unmatched:
+                got = {frozenset(_bits(cell))
+                       for cell in searcher.cells(searcher, u, jc)}
+                assert got == reference_cells(
+                    searcher, mode, u, jc, domains, unmatched), \
+                    (i, mode, prefix, u)
+                split += len(domains[u]) - len(got)
         assert split > 0
+
+    def test_static_grouping_matches_reference(self, rng):
+        # Without a builder, the entries are the classes of the static
+        # partition (singletons under NE and TE) that meet the free
+        # candidates: each as (lowest free candidate, the whole class, its
+        # unused members), by ascending representative. The random worlds
+        # seldom hold twins; the toy and star worlds do.
+        grouped = 0
+        problems = [*builder_problems(rng), toy_problem(), star_problem(3, 6)]
+        for i, p, mode, searcher, prefix, jc in builder_nodes(
+                problems, (Mode.NE, Mode.TE, Mode.WE, Mode.TEWE)):
+            classes = ([tuple(sorted(c))
+                        for c in naive_structural_partition(p.world)]
+                       if mode in (Mode.WE, Mode.TEWE)
+                       else [(c,) for c in range(p.world.vertex_count)])
+            used = set(dict(prefix).values())
+            for u in range(len(jc)):
+                if u in dict(prefix):
+                    continue
+                free = set(_bits(jc[u])) - used
+                want = sorted((min(free & set(c)), c, len(set(c) - used))
+                              for c in classes if free & set(c))
+                assert searcher._generate(u, jc) == want, (i, mode, prefix, u)
+                grouped += sum(len(c) > n for _, c, n in want)
+        assert grouped > 0
 
 
 def reference_cells(searcher, mode, u, jc, domains, unmatched):
