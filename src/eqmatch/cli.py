@@ -34,7 +34,8 @@ from .reporting import _dot, compress, export_dot, induce_subgraph
 
 @dataclass
 class RunConfig:
-    """Everything one single-instance invocation needs."""
+    """Everything one single-instance invocation needs. Its field defaults
+    are the command line's and a suite's."""
 
     template: Path
     world: Path
@@ -72,8 +73,8 @@ def load_problem(template: Path, world: Path, fmt: str) -> Problem:
 def _pair_graph_dot(structure: CandidateStructure) -> str:
     nodes = [(f"n{i}", f'label="({u},{c})"')
              for i, (u, c) in enumerate(structure.nodes)]
-    return _dot(True, nodes, [(f"n{i}", f"n{j}") for i in range(len(nodes))
-                              for j in structure.pair_graph.out[i]])
+    return _dot(nodes, [(f"n{i}", f"n{j}") for i in range(len(nodes))
+                        for j in structure.pair_graph.out[i]])
 
 
 def run(cfg: RunConfig, out=None) -> int:
@@ -126,7 +127,7 @@ def run(cfg: RunConfig, out=None) -> int:
             csg = induce_subgraph(problem.world, first[0], problem.template)
             Path(cfg.dot).write_text(export_dot(compress(csg)))
         else:
-            Path(cfg.dot).write_text(_dot(True, (), ()))
+            Path(cfg.dot).write_text(_dot((), ()))
     print(json.dumps(payload), file=out if out is not None else sys.stdout)
     return 0
 
@@ -150,7 +151,7 @@ _FIELDS = ["instance", "mode", "representatives", "total", "wall_time_s",
 
 
 def run_suite(suite_dir: Path, manifest: Path, out_csv: Path,
-              modes=ALL_MODES, timeout: float = 600.0,
+              modes=ALL_MODES, timeout: float = RunConfig.timeout,
               jobs: int | None = None) -> int:
     """Run every manifest instance under every mode. Each row is written
     and flushed as it arrives, in manifest order; the aggregates follow the
@@ -170,8 +171,8 @@ def run_suite(suite_dir: Path, manifest: Path, out_csv: Path,
                 raise ValueError(f"manifest line {reader.line_num}: need "
                                  "name, template and world, one per column")
             t, w = suite_dir / rec["template"], suite_dir / rec["world"]
-            tasks += [(rec["name"], t, w, rec.get("format", "lad"), mode,
-                       timeout) for mode in modes]
+            tasks += [(rec["name"], t, w, rec.get("format", RunConfig.format),
+                       mode, timeout) for mode in modes]
     if jobs is None:
         jobs = os.cpu_count() or 1
     with open(out_csv, "w", newline="") as fh, ExitStack() as stack:
@@ -211,10 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "equivalence-compressed solution classes.")
     parser.add_argument("--template", type=Path)
     parser.add_argument("--world", type=Path)
-    parser.add_argument("--format", choices=["lad", "multiplex"], default="lad")
+    parser.add_argument("--format", choices=["lad", "multiplex"],
+                        default=RunConfig.format)
     parser.add_argument("--mode", choices=[m.value for m in ALL_MODES],
-                        default="ne")
-    parser.add_argument("--timeout", type=float, default=600.0)
+                        default=RunConfig.mode.value)
+    parser.add_argument("--timeout", type=float, default=RunConfig.timeout)
     parser.add_argument("--max-solutions", type=int, default=None)
     parser.add_argument("--solutions", type=Path,
                         help="stream solution classes to this JSONL file")
@@ -225,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dot", type=Path,
                         help="DOT output path (candidate structure or the "
                              "first class's compressed subgraph)")
-    parser.add_argument("--pair-cap", type=int, default=200)
+    parser.add_argument("--pair-cap", type=int, default=RunConfig.pair_cap)
     parser.add_argument("--suite", type=Path, help="suite instance directory")
     parser.add_argument("--manifest", type=Path, help="suite manifest CSV")
     parser.add_argument("--out", type=Path, help="suite output CSV")

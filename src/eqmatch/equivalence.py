@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import count
 from math import factorial
 
 from .graphs import MultiplexGraph, Problem, is_subgraph_isomorphism
@@ -93,35 +94,47 @@ def find_equivalence_classes(g: MultiplexGraph,
     twins: equal neighbourhoods) or a clique of mutual arcs of one tuple
     (closed twins), never mixed: if ``v`` were equivalent to a non-neighbour
     ``w`` and to a neighbour ``x``, swapping ``v`` and ``x`` would move the
-    edge ``x``-``w`` onto ``v``-``w``. So a hash pass groups the vertices by
-    :func:`_signature`, and every open-twin class comes out whole; then a
-    scan in vertex order lets each vertex not yet placed start its clique,
-    whose other members are its out-neighbours above it that are not yet
-    placed, have the same out- and in-neighbour counts (a swap maps one
-    neighbourhood onto the other) and pass :func:`structurally_equivalent`.
-    Given a ``deadline`` (a ``time.monotonic()`` value), both passes check
+    edge ``x``-``w`` onto ``v``-``w``. So a hash pass buckets the vertices
+    by the hash of :func:`_signature`, keeping only vertex lists, and the
+    exact signatures settle each bucket of two or more: every open-twin
+    class comes out whole, and no more than one bucket's signatures are
+    held at once. Then a scan in vertex order lets each vertex not yet
+    placed start its clique, whose other members are its out-neighbours
+    above it that are not yet placed, have the same out- and in-neighbour
+    counts (a swap maps one neighbourhood onto the other) and pass
+    :func:`structurally_equivalent`.
+    Given a ``deadline`` (a ``time.monotonic()`` value), the passes check
     it every few hundred vertices and raise :class:`DeadlineExceeded` once
     it has passed.
     """
-    def check(v: int) -> None:
-        if (deadline is not None and v % _CHECK_EVERY == 0
+    visits = count()  # vertices visited by the three passes
+
+    def check() -> None:
+        if (deadline is not None and next(visits) % _CHECK_EVERY == 0
                 and time.monotonic() >= deadline):
             raise DeadlineExceeded
 
     n = g.vertex_count
-    by_sig: dict[object, list[int]] = {}
+    buckets: dict[int, list[int]] = {}
     for v in range(n):
-        check(v)
-        by_sig.setdefault(_signature(g, v), []).append(v)
-    groups = [grp for grp in by_sig.values() if len(grp) > 1]
-    del by_sig  # the signatures, most of the pass's memory, go here
+        check()
+        buckets.setdefault(hash(_signature(g, v)), []).append(v)
+    groups = []
+    for bucket in buckets.values():
+        if len(bucket) > 1:
+            by_sig: dict[object, list[int]] = {}
+            for v in bucket:
+                check()
+                by_sig.setdefault(_signature(g, v), []).append(v)
+            groups += [grp for grp in by_sig.values() if len(grp) > 1]
+    del buckets
     placed = [False] * n
     for grp in groups:
         for v in grp:
             placed[v] = True
     out, inn = g.out, g.inn
     for v in range(n):
-        check(v)
+        check()
         if placed[v]:
             continue
         nout, nin = len(out[v]), len(inn[v])

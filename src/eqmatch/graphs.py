@@ -125,7 +125,11 @@ def dominates(world_edge: tuple[int, ...] | None, template_edge: tuple[int, ...]
 
 @dataclass(frozen=True)
 class Problem:
-    """A template-in-world matching instance (same kind, same channel count)."""
+    """A template-in-world matching instance (same channel count).
+
+    ``directed`` records how the instance was drawn; the engine never reads
+    it, since an undirected graph is stored as symmetric arcs.
+    """
 
     template: MultiplexGraph
     world: MultiplexGraph
@@ -177,13 +181,13 @@ class _Tokens:
         return ParseError(self.line(i - 1) if i else 1, f"truncated file: expected {what}")
 
 
-def parse_lad(text: str, directed: bool = True) -> Graph:
+def parse_lad(text: str) -> Graph:
     """Parse a LAD-format graph: vertex count, then one adjacency list per vertex.
 
     Vertex ``v``'s list is its out-degree followed by that many neighbor
-    indices in ``[0, n)``; tokens may wrap across lines, and a repeated arc
-    changes nothing. For undirected inputs each listed edge also inserts
-    its reverse.
+    indices in ``[0, n)``, each an arc; tokens may wrap across lines, and a
+    repeated arc changes nothing. An undirected graph lists each edge from
+    both ends.
     """
     toks = _Tokens(text)
     ints = toks.ints
@@ -210,13 +214,11 @@ def parse_lad(text: str, directed: bool = True) -> Graph:
             raise ParseError(toks.line(pos), f"negative out-degree {deg} for vertex {v}")
         pos += 1
         nbrs = ints[pos:pos + deg]
-        outv, innv = out[v], inn[v]
+        outv = out[v]
         for i, w in enumerate(nbrs, pos):  # a repeated arc rewrites (1,)
             if not 0 <= w < n:
                 raise ParseError(toks.line(i), f"neighbor index {w} out of range [0, {n})")
             outv[w] = inn[w][v] = one
-            if not directed:
-                out[w][v] = innv[w] = one
         if len(nbrs) < deg:
             raise toks.stop(f"neighbor of vertex {v}")
         pos += deg
@@ -225,20 +227,14 @@ def parse_lad(text: str, directed: bool = True) -> Graph:
     return g
 
 
-def serialize_lad(g: MultiplexGraph, directed: bool = True) -> str:
-    """Canonical LAD text for a single-channel graph (neighbors sorted).
-
-    For ``directed=False`` each undirected edge is listed once, from its
-    lower endpoint (self-loops from their own vertex).
-    """
+def serialize_lad(g: MultiplexGraph) -> str:
+    """Canonical LAD text for a single-channel graph: each vertex's
+    out-neighbors, sorted."""
     if g.channels != 1:
         raise ValueError("LAD serialization requires a single-channel graph")
     lines = [str(g.vertex_count)]
     for v in range(g.vertex_count):
-        if directed:
-            nbrs = sorted(g.out[v])
-        else:
-            nbrs = sorted(w for w in g.out[v] if w >= v)
+        nbrs = sorted(g.out[v])
         lines.append(" ".join([str(len(nbrs))] + [str(w) for w in nbrs]))
     return "\n".join(lines) + "\n"
 

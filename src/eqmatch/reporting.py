@@ -4,7 +4,8 @@ Transforms a :class:`~eqmatch.search.SolutionClass` into the world subgraph
 its expansions inhabit (``induce_subgraph``), collapses like-colored
 vertices into supernodes (``compress``), summarizes candidate-set
 intersections after a node cover is matched (``venn_summary``), and exports
-either subgraph as DOT text.
+either subgraph as DOT digraph text. Every graph is arcs (an undirected
+one holds both), so every edge is an ordered pair.
 
 A world vertex can appear in several slots' interchange classes; it is
 colored by the first such slot, and the full slot list is kept as a merge
@@ -39,7 +40,6 @@ _PALETTE = ("lightblue", "lightsalmon", "palegreen", "gold", "plum",
 class ColoredSubgraph:
     """Solution-induced world subgraph; color = index of the serving slot."""
 
-    directed: bool
     vertices: tuple[int, ...]
     color_of: dict[int, int]
     color_labels: dict[int, str]
@@ -60,7 +60,6 @@ class ColoredSubgraph:
 class CompressedSubgraph:
     """One supernode per color, labeled with the number of joined vertices."""
 
-    directed: bool
     supernodes: tuple[tuple[int, str, int], ...]  # (color id, label, size)
     edges: tuple[tuple[int, int], ...]            # color-id pairs, deduplicated
 
@@ -84,8 +83,7 @@ class VennSummary:
 
 
 def induce_subgraph(world: MultiplexGraph, sc: SolutionClass,
-                    template: MultiplexGraph | None = None,
-                    directed: bool = True) -> ColoredSubgraph:
+                    template: MultiplexGraph | None = None) -> ColoredSubgraph:
     """World subgraph spanned by all expansions of ``sc``.
 
     Participants are the union of slot members. An edge participates when
@@ -141,8 +139,8 @@ def induce_subgraph(world: MultiplexGraph, sc: SolutionClass,
                             ok = supports[key] = dominates(*key)
                         if ok:
                             edges.append((a, b))
-    return ColoredSubgraph(directed, vertices, color_of, labels,
-                           tuple(sorted(edges)), merge)
+    return ColoredSubgraph(vertices, color_of, labels, tuple(sorted(edges)),
+                           merge)
 
 
 def compress(csg: ColoredSubgraph) -> CompressedSubgraph:
@@ -150,13 +148,9 @@ def compress(csg: ColoredSubgraph) -> CompressedSubgraph:
     sizes = Counter(map(csg.color_of.__getitem__, csg.vertices))
     supernodes = tuple((c, csg.color_labels.get(c, str(c)), sizes[c])
                        for c in sorted(sizes))
-    edges: set[tuple[int, int]] = set()
-    for a, b in csg.edges:
-        e = (csg.color_of[a], csg.color_of[b])
-        if not csg.directed:
-            e = (min(e), max(e))
-        edges.add(e)
-    return CompressedSubgraph(csg.directed, supernodes, tuple(sorted(edges)))
+    color = csg.color_of
+    edges = {(color[a], color[b]) for a, b in csg.edges}
+    return CompressedSubgraph(supernodes, tuple(sorted(edges)))
 
 
 def venn_summary(csets: list[set[int]], cover, match) -> VennSummary:
@@ -176,15 +170,15 @@ def venn_summary(csets: list[set[int]], cover, match) -> VennSummary:
     return VennSummary(tuple(sorted(regions.items())))
 
 
-def _dot(directed: bool, nodes, edges) -> str:
-    """DOT text of ``nodes``, ``(name, attributes)`` pairs, and ``edges``,
-    ``(name, name)`` pairs; an empty graph is one line with no newline."""
-    kind, arrow = ("digraph", "->") if directed else ("graph", "--")
+def _dot(nodes, edges) -> str:
+    """DOT digraph text of ``nodes``, ``(name, attributes)`` pairs, and
+    ``edges``, ``(name, name)`` pairs; an empty graph is one line with no
+    newline."""
     lines = [f"  {v} [{attrs}];" for v, attrs in nodes]
-    lines += [f"  {a} {arrow} {b};" for a, b in edges]
+    lines += [f"  {a} -> {b};" for a, b in edges]
     if not lines:
-        return f"{kind} G {{ }}"
-    return f"{kind} G {{\n" + "\n".join(lines) + "\n}\n"
+        return "digraph G { }"
+    return "digraph G {\n" + "\n".join(lines) + "\n}\n"
 
 
 def export_dot(g: ColoredSubgraph | CompressedSubgraph) -> str:
@@ -194,8 +188,8 @@ def export_dot(g: ColoredSubgraph | CompressedSubgraph) -> str:
         nodes = [(v, f'label="{v}", style=filled, fillcolor='
                      f'{_PALETTE[g.color_of[v] % len(_PALETTE)]}')
                  for v in g.vertices]
-        return _dot(g.directed, nodes, g.edges)
+        return _dot(nodes, g.edges)
     nodes = [(f"s{c}", f'label="{size}", style=filled, fillcolor='
                        f'{_PALETTE[c % len(_PALETTE)]}')
              for c, _, size in g.supernodes]
-    return _dot(g.directed, nodes, [(f"s{a}", f"s{b}") for a, b in g.edges])
+    return _dot(nodes, [(f"s{a}", f"s{b}") for a, b in g.edges])

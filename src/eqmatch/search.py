@@ -482,9 +482,6 @@ class _Searcher:
         group of its lowest candidate until it is empty."""
         domain, assigned = jc[u], self.assigned
         cells, size = [domain], domain.bit_count()
-        # Vertices with one domain and the same row views (so the same
-        # neighbours, requirements and self-loop) refine alike.
-        seen = set()
         for uprime in range(self.nt) if vertices is None else vertices:
             if len(cells) == size:  # all singletons
                 break
@@ -496,14 +493,8 @@ class _Searcher:
                 # neighbour's image: one label inside d.
                 cells = _split(cells, d)
                 continue
-            key = (self.tnbrs[uprime], self.tself[uprime], d)
-            if key in seen:
-                continue
-            seen.add(key)
             labels = self._labels_wrt(uprime, _bits(domain & d), jc)
             groups, outside = _group(labels), domain & ~d
-            if len(groups) + (outside != 0) < 2:  # splits nothing
-                continue
             split = []
             for cell in cells:
                 while cell & (cell - 1):

@@ -377,12 +377,11 @@ def expand_reference(sc):
             stack.append(choices(len(stack)))
 
 
-def parse_lad(text: str, directed: bool = True) -> Graph:
+def parse_lad(text: str) -> Graph:
     """Parse a LAD-format graph: vertex count, then one adjacency line per vertex.
 
     Line ``v`` holds the out-degree of ``v`` followed by that many neighbor
-    indices in ``[0, n)``. For undirected inputs each listed edge also
-    inserts its reverse.
+    indices in ``[0, n)``, each an arc.
     """
     tokens: list[tuple[int, str]] = []  # (line number, token)
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -415,8 +414,6 @@ def parse_lad(text: str, directed: bool = True) -> Graph:
             if not 0 <= w < n:
                 raise ParseError(lineno, f"neighbor index {w} out of range [0, {n})")
             g.add_edge(v, w)
-            if not directed:
-                g.add_edge(w, v)
     if pos < len(tokens):
         raise ParseError(tokens[pos][0], f"unexpected trailing token {tokens[pos][1]!r}")
     return g

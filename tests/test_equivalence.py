@@ -1,6 +1,7 @@
 """Structural equivalence, partitions, and interchange counting."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,6 +137,23 @@ class TestFindEquivalenceClasses:
 
     def test_empty_graph(self):
         assert find_equivalence_classes(Graph(0)).classes == ()
+
+    def test_memory_below_half_the_graph(self):
+        # The hash pass keeps one vertex list per signature hash, and only
+        # a bucket of two or more has its signatures taken, one bucket at a
+        # time: a seeded sparse undirected 20,000-vertex world (3n drawn
+        # edges) is partitioned within half the graph's own traced size.
+        rng, n = random.Random(20000), 20000
+        tracemalloc.start()
+        try:
+            g = undirected(n, [rng.sample(range(n), 2) for _ in range(3 * n)])
+            size = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            find_equivalence_classes(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - size < size / 2, (size, peak)
 
     # A class is pairwise non-adjacent (open twins, one signature) or a
     # clique of mutual arcs of one tuple, scanned from its lowest member;

@@ -96,10 +96,6 @@ class TestLad:
         assert g.has_edge(0, 1) and g.has_edge(2, 0)
         assert not g.has_edge(1, 0)
 
-    def test_parse_undirected_inserts_reverse(self):
-        g = parse_lad("2\n1 1\n0\n", directed=False)
-        assert g.has_edge(0, 1) and g.has_edge(1, 0)
-
     def test_error_line_numbers(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_lad("2\nx 1\n0\n")
@@ -177,7 +173,7 @@ def _valid_text(rng, fmt):
             lines += rng.sample(lines, rng.randint(1, len(lines)))
             rng.shuffle(lines)
         return "\n".join([head] + lines) + "\n"
-    rows = [row.split() for row in serialize_lad(g, directed).splitlines()]
+    rows = [row.split() for row in serialize_lad(g).splitlines()]
     if rng.random() < 0.3:
         for row in rows[1:]:
             if len(row) > 1 and rng.random() < 0.5:
@@ -234,11 +230,9 @@ class TestParsersMatchOracle:
             text = _mutate(rng, _valid_text(rng, fmt), rng.choice(self.KINDS))
             texts += 1
             parse, oracle = self.PARSERS[fmt]
-            for kw in ([{"directed": True}, {"directed": False}]
-                       if fmt == "lad" else [{}]):
-                want = _outcome(oracle, text, **kw)
-                assert _outcome(parse, text, **kw) == want, (text, kw)
-                seen["error" if want[0] == "error" else "graph"] += 1
+            want = _outcome(oracle, text)
+            assert _outcome(parse, text) == want, text
+            seen["error" if want[0] == "error" else "graph"] += 1
         assert texts >= 2000
         assert min(seen.values()) > 1000, seen
 

@@ -83,7 +83,7 @@ class TestInduceSubgraphReference:
                         assert got.color_of == want["color_of"]
                         assert got.edges == want["edges"]
                         assert got.merge_log == want["merge_log"]
-                        ref = ColoredSubgraph(True, want["vertices"],
+                        ref = ColoredSubgraph(want["vertices"],
                                               want["color_of"],
                                               got.color_labels,
                                               want["edges"],
@@ -189,13 +189,12 @@ class TestVennSummary:
 
 class TestExportDot:
     def test_empty_graph(self):
-        empty = ColoredSubgraph(True, (), {}, {}, (), {})
+        empty = ColoredSubgraph((), {}, {}, (), {})
         assert export_dot(empty) == "digraph G { }"
         assert export_dot(compress(empty)) == "digraph G { }"
 
     def test_single_supernode_label(self):
-        csg = ColoredSubgraph(True, (0, 1, 2), {0: 0, 1: 0, 2: 0},
-                              {0: "0"}, (), {})
+        csg = ColoredSubgraph((0, 1, 2), {0: 0, 1: 0, 2: 0}, {0: "0"}, (), {})
         out = export_dot(compress(csg))
         assert out.count("[label=") == 1
         assert 'label="3"' in out
@@ -212,8 +211,3 @@ class TestExportDot:
             "  s0 -> s1;\n"
             "  s0 -> s2;\n"
             "}\n")
-
-    def test_undirected_edge_syntax(self):
-        csg = ColoredSubgraph(False, (0, 1), {0: 0, 1: 1},
-                              {0: "0", 1: "1"}, ((0, 1),), {})
-        assert "0 -- 1;" in export_dot(csg)

@@ -409,6 +409,14 @@ def clique(n):
     return g
 
 
+def undirected(n, pairs):
+    g = Graph(n)
+    for a, b in pairs:
+        g.add_edge(a, b)
+        g.add_edge(b, a)
+    return g
+
+
 class TestClosedForms:
     """Exact totals beyond the brute-force oracle's reach. FE, NC and TE do
     not compress cliques, and TE and NE list the star's maps one by one."""
@@ -537,10 +545,17 @@ def builder_nodes(problems, modes):
 class TestCellPartitions:
     def test_builders_match_reference(self, rng):
         # Every unmatched vertex's cells equal the per-candidate grouping,
-        # as sets of sets.
+        # as sets of sets. In a 4-cycle in K3,3 and K3,4, the open twins 0
+        # and 2 keep unmatched neighbours and equal domains, so the
+        # refinement by one repeats the other's.
+        cycle = undirected(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        problems = [*builder_problems(rng), *(
+            Problem(cycle, undirected(3 + k, [(a, b) for a in range(3)
+                                              for b in range(3, 3 + k)]))
+            for k in (3, 4))]
         split = 0
         for i, _, mode, searcher, prefix, jc in builder_nodes(
-                builder_problems(rng), (Mode.FE, Mode.NC, Mode.CE)):
+                problems, (Mode.FE, Mode.NC, Mode.CE)):
             domains = [set(_bits(d)) for d in jc]
             unmatched = [v for v in range(len(jc)) if v not in dict(prefix)]
             for u in unmatched:
