@@ -65,9 +65,10 @@ neighbours of ``c`` whose edge dominates it. The entry is built from one
 read of c's arcs, and ``dominates`` is called once per (edge tuple,
 requirement). A ``_Rows`` view picks one requirement's mask from a memo.
 A revision of ``y`` against a popped ``x`` ANDs ``jc[y]`` with the OR of
-the masks of x's candidates (one mask when ``x`` is matched), a signature
-part is ``out[c] & jc[u2]``, and a child's domain list shares every int of
-its parent's except the branching vertex's, which becomes ``1 << image``.
+the masks of x's candidates (one mask when ``x`` is matched), a cell is
+refined by the key ``out[c] & jc[u2]`` of one row at a time, and a child's
+domain list shares every int of its parent's except the branching
+vertex's, which becomes ``1 << image``.
 A mask is as wide as the world, so entries are built on first use and
 memoised within ``_ROW_BYTES`` per solve. A world of a few thousand
 vertices fits whole; past the budget, a revision sets the bits of the
@@ -80,18 +81,18 @@ members consumed by earlier assignments. ``used`` is a bitset too.
 A cell is a bitset as well, a subset of the branching vertex's domain.
 One refinement, ``_fe_cells``, builds every builder's cells from
 ``[jc[u]]`` (partition refinement; Paige and Tarjan, SIAM J. Comput.
-1987): by the label groups, as bitsets, of each unmatched vertex of a
-given set, splitting a cell by the group of its lowest candidate until it
-is empty, so each output cell costs one AND. FE refines by every
-unmatched vertex, CE by the branching vertex alone, a group being blocked
-when it meets the other unmatched domains. A vertex without a self-loop
-whose neighbours are all matched has one label: arc consistency keeps
-only candidates adjacent to each neighbour's image, so its domain ``d``
-splits a cell into ``cell & d`` and ``cell & ~d``. Once the node cover is
-matched, every unmatched vertex is such a vertex, and FE is the
-membership-vector grouping of node-cover equivalence. A branch's
-representative is the lowest free bit of its cell, and its multiplier the
-number of the cell's unused bits.
+1987). For each unmatched vertex ``u'`` of a given set it splits every
+cell by ``jc[u']``, refines the pieces inside by one support row of
+``u'`` at a time, and last by the layer of its self-loop, if any:
+refining by one coordinate at a time groups as the whole tuple would. A
+matched neighbour's row is skipped, since arc consistency keeps only
+candidates adjacent to its image. FE refines by every unmatched vertex,
+CE by the branching vertex alone, a cell being blocked when it meets the
+other unmatched domains. Once the node cover is matched, every unmatched
+vertex has only matched neighbours and no self-loop, so it splits cells
+by its domain and reads no row: FE is then the membership-vector grouping
+of node-cover equivalence. A branch's representative is the lowest free
+bit of its cell, and its multiplier the number of the cell's unused bits.
 """
 
 from __future__ import annotations
@@ -400,9 +401,6 @@ class _Searcher:
         t = self.t
         self.tnbrs, self.tself = _support_masks(t, self.w)
         self.tdegree = [t.degree(u) for u in range(self.nt)]
-        # Once these are matched, u's candidates share one label: its
-        # neighbours, and u itself when it has a self-loop.
-        self.tdeps = [o.keys() | i.keys() for o, i in zip(t.out, t.inn)]
         self.tp = (find_equivalence_classes(t, deadline=deadline)
                    if rule.template_partition else Partition.trivial(self.nt))
         self.wp = (find_equivalence_classes(self.w, deadline=deadline)
@@ -421,39 +419,6 @@ class _Searcher:
         self.slots: list[Slot] = []
 
     # -- dynamic equivalence ----------------------------------------------
-
-    def _sig(self, uprime: int, c: int, jc: list[int]):
-        parts = []
-        for u2, out, inn in self.tnbrs[uprime]:
-            if out is not None:
-                parts.append(out[c] & jc[u2])
-            if inn is not None:
-                parts.append(inn[c] & jc[u2])
-        return tuple(parts)
-
-    def _labels_wrt(self, uprime: int, universe, jc: list[int]) -> dict[int, object]:
-        """Equivalence-class labels, with respect to ``uprime``, for every
-        candidate in ``universe`` (which must lie inside ``jc[uprime]``).
-
-        Two candidates are equivalent when they agree on every other layer
-        and, in ``uprime``'s own layer (its self-loop), have equal open
-        neighbourhoods (no edge between them) or equal closed ones (edges
-        both ways). A candidate whose closed signature no other candidate
-        shares is labelled by its open one."""
-        out, inn = self.tself[uprime]
-        if out is None:
-            return {c: self._sig(uprime, c, jc) for c in universe}
-        own = jc[uprime]
-        sigs = {}
-        for c in universe:
-            bit = 1 << c
-            outs, ins = out[c] & own, inn[c] & own
-            rest = (self._sig(uprime, c, jc), bool(outs & bit))
-            sigs[c] = ((True, rest, outs | bit, ins | bit),
-                       (False, rest, outs & ~bit, ins & ~bit))
-        shared = Counter(closed for closed, _ in sigs.values())
-        return {c: closed if shared[closed] > 1 else opened
-                for c, (closed, opened) in sigs.items()}
 
     def _ce_cells(self, u: int, jc: list[int]) -> list[int]:
         """The refinement by ``u`` alone; a cell that meets the other
@@ -477,9 +442,13 @@ class _Searcher:
 
     def _fe_cells(self, u: int, jc: list[int], vertices=None) -> list[int]:
         """Refine ``[jc[u]]`` by the candidate equivalence with respect to
-        each unmatched vertex of ``vertices`` (every template vertex by
-        default; matched vertices are fixed points), splitting a cell by the
-        group of its lowest candidate until it is empty."""
+        each unmatched vertex ``u'`` of ``vertices`` (every template vertex
+        by default; matched vertices are fixed points): by ``jc[u']``, then
+        the pieces inside it by one support row of ``u'`` at a time, then by
+        the layer of its self-loop, if any.
+
+        A matched neighbour's row is skipped: arc consistency leaves its
+        image in that row for every candidate of ``u'``."""
         domain, assigned = jc[u], self.assigned
         cells, size = [domain], domain.bit_count()
         for uprime in range(self.nt) if vertices is None else vertices:
@@ -488,24 +457,20 @@ class _Searcher:
             if uprime in assigned:
                 continue
             d = jc[uprime]
-            if assigned.keys() >= self.tdeps[uprime]:
-                # Arc consistency leaves every candidate adjacent to each
-                # neighbour's image: one label inside d.
-                cells = _split(cells, d)
-                continue
-            labels = self._labels_wrt(uprime, _bits(domain & d), jc)
-            groups, outside = _group(labels), domain & ~d
-            split = []
-            for cell in cells:
-                while cell & (cell - 1):
-                    low = (cell & -cell).bit_length() - 1
-                    piece = cell & (groups[labels[low]] if low in labels
-                                    else outside)
-                    split.append(piece)
-                    cell ^= piece
-                if cell:
-                    split.append(cell)
-            cells = split
+            inside = [piece for cell in cells if (piece := cell & d)]
+            cells = [piece for cell in cells if (piece := cell & ~d)]
+            for u2, out, inn in self.tnbrs[uprime]:
+                if u2 not in assigned:
+                    d2 = jc[u2]
+                    for rows in (out, inn):
+                        if rows is not None:
+                            inside = _refine(inside, lambda cell: {
+                                c: rows[c] & d2 for c in _bits(cell)})
+            out, inn = self.tself[uprime]
+            if out is not None:
+                inside = _refine(inside, lambda cell: _own_labels(out, inn,
+                                                                  d, cell))
+            cells += inside
         return cells
 
     def _nc_cells(self, u: int, jc: list[int]) -> list[int]:
@@ -624,9 +589,27 @@ class _Searcher:
             changed = (*(v for v in tclass if v != u), u)
 
 
-def _split(cells: list[int], d: int) -> list[int]:
-    """``cells`` refined by the bitset ``d``: ``cell & d``, ``cell & ~d``."""
-    return [piece for cell in cells for piece in (cell & d, cell & ~d) if piece]
+def _refine(cells: list[int], labels) -> list[int]:
+    """``cells`` split by ``labels(cell)``, which maps each candidate of a
+    cell of two or more to its label; singletons are kept as they are."""
+    return [piece for cell in cells
+            for piece in (_group(labels(cell)).values()
+                          if cell & (cell - 1) else (cell,))]
+
+
+def _own_labels(out, inn, own: int, cell: int) -> dict[int, tuple]:
+    """The labels, in the layer of a self-loop with support rows ``out`` and
+    ``inn`` and domain ``own``, of the candidates of ``cell``: a candidate's
+    closed neighbourhood (edges both ways to its twin) when another
+    candidate of the cell shares it, its open one (no edge) otherwise. Each
+    candidate passed the unary self-loop test, so its row holds itself. A
+    candidate never has a twin of both kinds, so labelling per cell groups
+    a cell as labelling the whole domain would."""
+    closed = {c: (out[c] & own, inn[c] & own) for c in _bits(cell)}
+    shared = Counter(closed.values())
+    return {c: (True, *sig) if shared[sig] > 1
+            else (False, sig[0] & ~(1 << c), sig[1] & ~(1 << c))
+            for c, sig in closed.items()}
 
 
 def _group(labels: dict[int, object]) -> dict[object, int]:

@@ -562,10 +562,35 @@ class TestCellPartitions:
                 got = {frozenset(_bits(cell))
                        for cell in searcher.cells(searcher, u, jc)}
                 assert got == reference_cells(
-                    searcher, mode, u, jc, domains, unmatched), \
+                    searcher, mode, u, domains, unmatched), \
                     (i, mode, prefix, u)
                 split += len(domains[u]) - len(got)
         assert split > 0
+
+    def test_nc_reads_no_row_once_cover_is_matched(self, monkeypatch):
+        # A vertex outside the node cover has only cover neighbours and no
+        # self-loop, so once the cover is matched NC splits its cells by
+        # domains alone: its refinement reads no support row.
+        reads, after = [0], []
+        getitem, fe_cells = search._Rows.__getitem__, _Searcher._fe_cells
+
+        def counted(self, c):
+            reads[0] += 1
+            return getitem(self, c)
+
+        def refined(self, u, jc, vertices=None):
+            before = reads[0]
+            cells = fe_cells(self, u, jc, vertices)
+            if self.cover <= self.assigned.keys():
+                after.append(reads[0] - before)
+            return cells
+
+        monkeypatch.setattr(search._Rows, "__getitem__", counted)
+        monkeypatch.setattr(_Searcher, "_fe_cells", refined)
+        p = cover_problem()
+        report, _ = solve(p, Mode.NC)
+        assert report.total == brute_force_count(p)
+        assert reads[0] > 0 and after and not any(after)
 
     def test_static_grouping_matches_reference(self, rng):
         # Without a builder, the entries are the classes of the static
@@ -593,17 +618,26 @@ class TestCellPartitions:
         assert grouped > 0
 
 
-def reference_cells(searcher, mode, u, jc, domains, unmatched):
-    if mode is Mode.FE:
-        return fe_cells(domains[u], unmatched, domains,
-                        lambda v, inside: searcher._labels_wrt(v, inside, jc))
+def reference_cells(searcher, mode, u, domains, unmatched):
     if mode is Mode.NC and searcher.cover <= set(searcher.assigned):
         return nc_cells(domains[u],
                         [v for v in unmatched if v not in searcher.cover],
                         domains)
+    structure = build_candidate_structure(searcher.problem, domains)
+
+    def labels_wrt(v, inside):
+        """Each candidate of ``inside`` labelled by the lowest one that is
+        candidate equivalent to it with respect to ``v``: structural
+        equivalence of pair nodes in the materialized pair graph."""
+        return {c: min(c2 for c2 in inside
+                       if structure.candidate_equivalent(v, c, c2))
+                for c in inside}
+
+    if mode is Mode.FE:
+        return fe_cells(domains[u], unmatched, domains, labels_wrt)
     others = set().union(*(domains[v] for v in unmatched if v != u))
-    labels = searcher._labels_wrt(u, sorted(domains[u]), jc)
-    return ce_cells(domains[u], labels, others, searcher.wp.class_of)
+    return ce_cells(domains[u], labels_wrt(u, sorted(domains[u])), others,
+                    searcher.wp.class_of)
 
 
 class TestDegenerateInputs:
@@ -722,6 +756,27 @@ class TestLimits:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
 
+    def test_cell_memory_near_ne(self):
+        # FE, CE and NC refine a cell by one support row at a time, so a
+        # triangle in a sparse undirected 5000-vertex world, run to
+        # completion, peaks within twice NE's traced allocations.
+        rng, n = random.Random(5000), 5000
+        world = undirected(n, [rng.sample(range(n), 2) for _ in range(3 * n)])
+        problem = Problem(undirected(3, [(0, 1), (1, 2), (0, 2)]), world)
+        peaks, totals = {}, set()
+        for mode in (Mode.NE, Mode.FE, Mode.CE, Mode.NC):
+            tracemalloc.start()
+            try:
+                report, _ = solve(problem, mode, collect=False)
+                peaks[mode] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.status == "completed", mode
+            totals.add(report.total)
+        assert len(totals) == 1
+        assert all(peaks[m] <= 2 * peaks[Mode.NE]
+                   for m in (Mode.FE, Mode.CE, Mode.NC)), peaks
+
     def test_world_partition_within_deadline(self, rng):
         # Partitioning a 40000-vertex world takes longer than the timeout.
         problem = sparse_triangle_problem(rng, 40000)
@@ -836,6 +891,7 @@ class TestWeighing:
 class TestPairEquivalence:
     def test_labels_match_candidate_structure(self, rng):
         # Dense self-loops make the own layer decide: open and closed twins.
+        # Below one assignment the matched vertex's rows are skipped.
         groups = 0
         for i in range(60):
             p = random_problem(rng, template_size=(2, 4), world_size=(5, 7),
@@ -849,14 +905,18 @@ class TestPairEquivalence:
                 cs = apply_filters(prefix, init_candidates(p), p)
                 structure = build_candidate_structure(p, cs)
                 jc = _domains(cs)
+                searcher.assigned = dict(prefix)
                 for u in range(p.template.vertex_count):
                     if p.template.edge(u, u) is None or u in dict(prefix):
                         continue
-                    labels = searcher._labels_wrt(u, cs[u], jc)
-                    groups += len(cs[u]) - len(set(labels.values()))
+                    cells = searcher._fe_cells(u, jc, (u,))
+                    cell_of = {c: k for k, cell in enumerate(cells)
+                               for c in _bits(cell)}
+                    assert sorted(cell_of) == sorted(cs[u])
+                    groups += len(cs[u]) - len(cells)
                     for c1 in cs[u]:
                         for c2 in cs[u]:
-                            assert (labels[c1] == labels[c2]) == \
+                            assert (cell_of[c1] == cell_of[c2]) == \
                                 structure.candidate_equivalent(u, c1, c2)
         assert groups > 0
 
