@@ -9,10 +9,9 @@ answers the same equivalence queries implicitly from adjacency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from operator import ge
+from operator import ge, itemgetter
 
-from .graphs import Graph, MultiplexGraph, Problem, degree_vector, dominates
+from .graphs import Graph, MultiplexGraph, Problem, dominates
 from .equivalence import structurally_equivalent
 
 MatchPairs = list[tuple[int, int]]
@@ -28,22 +27,39 @@ def init_candidates(problem: Problem) -> list[frozenset[int]]:
     empty set is a legal result and signals unsatisfiability downstream.
     The tests run once per distinct (label, degrees, self-loop) profile,
     over the world vertices carrying that label, and template vertices of
-    one profile share one immutable set. Each world vertex keeps one
-    flattened degree tuple, compared with a profile's in C by
-    ``all(map(operator.ge, ...))``; the degree test runs first, since it
-    needs no edge lookup.
+    one profile share one immutable set. A zero requirement always holds,
+    so degrees are summed only over the channels where the template has an
+    arc: each vertex keeps one degree tuple over those channels, compared
+    with a profile's in C by ``all(map(operator.ge, ...))``, and set-up
+    grows with the template's channels, not the world's. The degree test
+    runs first, since it needs no edge lookup.
     """
     t, w = problem.template, problem.world
-    wdegs = [tuple(chain.from_iterable(degree_vector(w, c)))
-             for c in range(w.vertex_count)]
+    # Channel 0 stands in for an arcless template, whose degrees are zero.
+    chans = sorted({i for arcs in t.out for e in arcs.values()
+                    for i, m in enumerate(e) if m}) or [0]
+    zero = (0,) * len(chans)
+    # On every channel the arc tuples are summed as they are; on fewer,
+    # each is cut to them (itemgetter of one index returns the item, and
+    # a slice keeps a tuple).
+    pick = (None if len(chans) == t.channels
+            else itemgetter(*chans) if len(chans) > 1
+            else itemgetter(slice(chans[0], chans[0] + 1)))
+
+    def degrees(g: MultiplexGraph, v: int) -> tuple[int, ...]:
+        ins, outs = g.inn[v].values(), g.out[v].values()
+        if pick is not None:
+            ins, outs = map(pick, ins), map(pick, outs)
+        return (*map(sum, zip(zero, *ins)), *map(sum, zip(zero, *outs)))
+
+    wdegs = [degrees(w, c) for c in range(w.vertex_count)]
     by_label: dict[str | None, list[int]] = {}
     for c in range(w.vertex_count):
         by_label.setdefault(w.label(c), []).append(c)
     by_profile: dict[tuple, frozenset[int]] = {}
     csets: list[frozenset[int]] = []
     for u in range(t.vertex_count):
-        profile = (t.label(u), tuple(chain.from_iterable(degree_vector(t, u))),
-                   t.edge(u, u))
+        profile = (t.label(u), degrees(t, u), t.edge(u, u))
         if profile not in by_profile:
             lbl, tdeg, selfreq = profile
             pool = range(w.vertex_count) if lbl is None else by_label.get(lbl, ())

@@ -27,9 +27,16 @@ class MultiplexGraph:
     length-``channels`` tuple of multiplicities, every stored tuple having at
     least one positive entry. Instances are immutable by convention once
     built; nothing mutates them after construction.
+
+    Arcs share their tuples: ``add_edge`` and
+    :func:`parse_multiplex_edgelist` store, for every arc with the same
+    multiplicity vector, the one tuple object the graph's interning table
+    holds for it. So the vectors take memory in proportion to the
+    distinct edge types, not to arcs times channels, and ``out[u][v] is
+    inn[v][u]`` for every arc.
     """
 
-    __slots__ = ("vertex_count", "channels", "out", "inn", "labels")
+    __slots__ = ("vertex_count", "channels", "out", "inn", "labels", "_types")
 
     def __init__(self, vertex_count: int, channels: int = 1,
                  labels: list[str | None] | None = None):
@@ -44,6 +51,7 @@ class MultiplexGraph:
         if labels is not None and len(labels) != vertex_count:
             raise ValueError("labels must have one entry per vertex")
         self.labels = labels
+        self._types: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.vertex_count:
@@ -60,12 +68,18 @@ class MultiplexGraph:
     def add_edge(self, u: int, v: int, channel: int = 1, multiplicity: int = 1) -> None:
         """Add ``multiplicity`` parallel edges u->v in ``channel`` (1-based)."""
         self._check_arc(u, v, channel, multiplicity)
-        old = self.out[u].get(v, (0,) * self.channels)
-        new = list(old)
-        new[channel - 1] += multiplicity
-        t = tuple(new)
-        self.out[u][v] = t
-        self.inn[v][u] = t
+        self._add_arcs(((u, v, channel, multiplicity),))
+
+    def _add_arcs(self, arcs) -> None:
+        """Add each checked ``(u, v, channel, multiplicity)`` of ``arcs``;
+        the arc u->v then holds the interned tuple of its summed vector."""
+        out, inn, types = self.out, self.inn, self._types
+        zero = (0,) * self.channels
+        for u, v, channel, multiplicity in arcs:
+            new = list(out[u].get(v, zero))
+            new[channel - 1] += multiplicity
+            t = tuple(new)
+            out[u][v] = inn[v][u] = types.setdefault(t, t)
 
     def edge(self, u: int, v: int) -> tuple[int, ...] | None:
         """Per-channel multiplicities of u->v, or None if absent in all channels."""
@@ -286,12 +300,8 @@ def parse_multiplex_edgelist(text: str) -> MultiplexGraph:
             raise ParseError(lineno, "expected 'src dst channel multiplicity'")
         raise toks.stop("'src dst channel multiplicity'")
     g = MultiplexGraph(n, channels=k)
-    out, inn, zero = g.out, g.inn, (0,) * k
     quads = iter(edges)
-    for src, dst, channel, mult in zip(quads, quads, quads, quads):
-        new = list(out[src].get(dst, zero))
-        new[channel - 1] += mult
-        out[src][dst] = inn[dst][src] = tuple(new)
+    g._add_arcs(zip(quads, quads, quads, quads))
     return g
 
 

@@ -71,8 +71,9 @@ domain list shares every int of its parent's except the branching
 vertex's, which becomes ``1 << image``.
 A mask is as wide as the world, so entries are built on first use and
 memoised within ``_ROW_BYTES`` per solve. A world of a few thousand
-vertices fits whole; past the budget, a revision sets the bits of the
-masks it lacks in a byte buffer, linear in the arcs it reads.
+vertices fits whole; from the row where the budget runs out, a revision
+sets the bits of the masks it lacks in a byte buffer, linear in the arcs
+it reads, and checks the deadline every ``_CHECK_EVERY`` rows.
 Domains kept during search include already-used world vertices (a used
 vertex stays listed while it remains joinable); this lets recomputed cells
 report the full interchange class, with multipliers discounting the
@@ -108,8 +109,9 @@ from math import prod
 from typing import Callable, NamedTuple
 
 from .graphs import MultiplexGraph, Problem, dominates
-from .equivalence import (DeadlineExceeded, Partition, count_tewe,
-                          find_equivalence_classes, interchange_count)
+from .equivalence import (_CHECK_EVERY, DeadlineExceeded, Partition,
+                          count_tewe, find_equivalence_classes,
+                          interchange_count)
 from .candidates import greedy_node_cover, init_candidates
 
 
@@ -245,6 +247,15 @@ class _Accepts(dict):
         return ok
 
 
+class _Spent(Exception):
+    """The entry of world vertex ``c``, built after the budget ran out and
+    not memoised."""
+
+    def __init__(self, c: int, masks: list[int]):
+        super().__init__()
+        self.c, self.masks = c, masks
+
+
 class _Masks(dict):
     """The support masks of one direction, keyed by world vertex: entry
     ``c`` holds, for each requirement ``i`` of the solve, the world out- (or
@@ -256,11 +267,15 @@ class _Masks(dict):
     therefore built on first use, for candidates only, and memoised within
     the solve's byte budget (a one-element list of bytes left, shared by
     both directions, zero once spent). An entry is kept until one no longer
-    fits; past that, every entry is rebuilt on each use."""
+    fits; past that, a missing entry is built, raised in :class:`_Spent`
+    and not kept, so that a reader can switch paths without a test per
+    row. ``deadline`` bounds the unions that read past the budget."""
 
-    def __init__(self, adj, accepts: _Accepts, budget: list[int]):
+    def __init__(self, adj, accepts: _Accepts, budget: list[int],
+                 deadline: float | None = None):
         super().__init__()
         self.adj, self.accepts, self.budget = adj, accepts, budget
+        self.deadline = deadline
 
     def __missing__(self, c: int) -> list[int]:
         masks, accepts = [0] * len(self.accepts.reqs), self.accepts
@@ -273,9 +288,9 @@ class _Masks(dict):
         if self.budget[0] >= cost:
             self.budget[0] -= cost
             self[c] = masks
-        else:
-            self.budget[0] = 0
-        return masks
+            return masks
+        self.budget[0] = 0
+        raise _Spent(c, masks)
 
 
 class _Rows:
@@ -286,37 +301,50 @@ class _Rows:
         self.masks, self.i = masks, i
 
     def __getitem__(self, c: int) -> int:
-        return self.masks[c][self.i]
+        try:
+            return self.masks[c][self.i]
+        except _Spent as spent:
+            return spent.masks[self.i]
 
     def union(self, cs: list[int]) -> int:
         """The OR of the rows of ``cs``. While the budget lasts, every row
-        is (or becomes) part of a memoised entry. Once it is spent, the bits
-        of the rows not memoised are set in one byte buffer, so that the
-        cost stays linear in their arcs instead of growing with
-        |cs| x |V_w|; the buffer is made only when some row is missing."""
+        is (or becomes) part of a memoised entry. From the row where it
+        runs out, the bits of the rows not memoised are set in one byte
+        buffer, so that the cost stays linear in their arcs instead of
+        growing with |cs| x |V_w|; the buffer is made only when some row is
+        missing, and the deadline is checked every ``_CHECK_EVERY`` rows."""
         masks, i, m = self.masks, self.i, 0
         if masks.budget[0]:
-            for c in cs:
-                m |= masks[c][i]
-            return m
-        accepts, adj, buf = masks.accepts, masks.adj, None
-        for c in cs:
-            row = masks.get(c)
-            if row is not None:
-                m |= row[i]
-                continue
-            if buf is None:
-                buf = bytearray((len(adj) + 7) // 8)
-            for c2, e in adj[c].items():
-                if i in accepts[e]:
-                    buf[c2 >> 3] |= 1 << (c2 & 7)
+            try:
+                for c in cs:
+                    m |= masks[c][i]
+                return m
+            except _Spent as spent:
+                m |= spent.masks[i]
+                cs = cs[cs.index(spent.c) + 1:]
+        accepts, adj, deadline, buf = (masks.accepts, masks.adj,
+                                       masks.deadline, None)
+        for start in range(0, len(cs), _CHECK_EVERY):
+            if deadline is not None and time.monotonic() >= deadline:
+                raise DeadlineExceeded
+            for c in cs[start:start + _CHECK_EVERY]:
+                row = masks.get(c)
+                if row is not None:
+                    m |= row[i]
+                    continue
+                if buf is None:
+                    buf = bytearray((len(adj) + 7) // 8)
+                for c2, e in adj[c].items():
+                    if i in accepts[e]:
+                        buf[c2 >> 3] |= 1 << (c2 & 7)
         return m if buf is None else m | int.from_bytes(buf, "little")
 
 
 _ROW_BYTES = 16 << 20  # memoised support masks per solve
 
 
-def _support_masks(t: MultiplexGraph, w: MultiplexGraph):
+def _support_masks(t: MultiplexGraph, w: MultiplexGraph,
+                   deadline: float | None = None):
     """World support masks for every template arc, ``(tnbrs, tself)``.
 
     Every template edge is read from both of its ends, so both directions
@@ -326,12 +354,13 @@ def _support_masks(t: MultiplexGraph, w: MultiplexGraph):
     neighbour ``u2`` of ``u``, with the requirements ``t.edge(u, u2)`` and
     ``t.edge(u2, u)``, so that ``out[c]`` holds the candidates of ``u2``
     that an image ``c`` of ``u`` supports through the edge ``u -> u2``;
-    ``tself[u]`` is the ``(out, in)`` pair of u's self-loop."""
+    ``tself[u]`` is the ``(out, in)`` pair of u's self-loop. ``deadline``
+    bounds the unions that read past the budget."""
     reqs = list(dict.fromkeys(e for arcs in t.out for e in arcs.values()))
     accepts, budget = _Accepts(reqs), [_ROW_BYTES]
     views = {}
     for out, adj in ((True, w.out), (False, w.inn)):
-        masks = _Masks(adj, accepts, budget)
+        masks = _Masks(adj, accepts, budget, deadline)
         views.update(((req, out), _Rows(masks, i))
                      for i, req in enumerate(reqs))
     views[None, True] = views[None, False] = None
@@ -399,7 +428,7 @@ class _Searcher:
 
         rule = _RULES[mode]
         t = self.t
-        self.tnbrs, self.tself = _support_masks(t, self.w)
+        self.tnbrs, self.tself = _support_masks(t, self.w, deadline)
         self.tdegree = [t.degree(u) for u in range(self.nt)]
         self.tp = (find_equivalence_classes(t, deadline=deadline)
                    if rule.template_partition else Partition.trivial(self.nt))

@@ -1,5 +1,8 @@
 """Candidate sets, the pair-node candidate structure, and node covers."""
 
+import random
+import time
+
 import pytest
 
 from eqmatch.candidates import (build_candidate_structure, greedy_node_cover,
@@ -8,7 +11,7 @@ from eqmatch.candidates import (build_candidate_structure, greedy_node_cover,
 from eqmatch.graphs import Graph, MultiplexGraph, Problem, degree_vector
 from eqmatch.search import apply_filters
 from eqmatch.synth import (cover_problem, plant, random_multiplex_graph,
-                           toy_problem)
+                           sparse_multiplex_graph, toy_problem)
 
 from oracles import degrees_per_arc, unary_candidates
 
@@ -96,6 +99,55 @@ class TestInitCandidates:
             assert [set(cs) for cs in got] == unary_candidates(problem), i
             nonempty += all(got)
         assert nonempty >= 30 and isolated_seen >= 100
+
+
+class TestChannelCount:
+    """The degree test reads only the channels where the template has an
+    arc, so unused channels change neither the sets nor the set-up time."""
+
+    @staticmethod
+    def spread(g, where, k):
+        """``g`` with channel ``ch`` moved to ``where[ch - 1]`` of ``k``."""
+        h = MultiplexGraph(g.vertex_count, k, g.labels)
+        for a, nbrs in enumerate(g.out):
+            for b, mult in nbrs.items():
+                for ch, m in enumerate(mult, start=1):
+                    if m:
+                        h.add_edge(a, b, where[ch - 1], m)
+        return h
+
+    def test_unused_channels_keep_the_sets(self, rng):
+        for i in range(60):
+            k = 1 + i % 3
+            t, _ = labelled_multiplex(rng, rng.randint(2, 5), k,
+                                      rng.randint(0, 1), [None, "a", "b"])
+            w, _ = labelled_multiplex(rng, rng.randint(5, 10), k,
+                                      rng.randint(1, 3), ["a", "b", "c"])
+            if i % 2:
+                plant(rng, t, w)
+            where = rng.sample(range(1, k + 128), k)
+            padded = Problem(self.spread(t, where, k + 127),
+                             self.spread(w, where, k + 127))
+            assert init_candidates(padded) == init_candidates(Problem(t, w)), i
+
+    def test_setup_flat_in_channel_count(self):
+        def best(problem):
+            times = []
+            for _ in range(5):
+                start = time.perf_counter()
+                init_candidates(problem)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        took = {}
+        for k in (1, 128):
+            t = MultiplexGraph(3, k)
+            for a, b in ((0, 1), (1, 2), (0, 2)):
+                t.add_edge(a, b)
+                t.add_edge(b, a)
+            w = sparse_multiplex_graph(random.Random(10000), 10000, 30000, k)
+            took[k] = best(Problem(t, w))
+        assert took[128] <= 2 * took[1], took
 
 
 class TestApplyFilters:

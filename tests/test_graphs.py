@@ -8,7 +8,8 @@ from eqmatch.graphs import (Graph, MultiplexGraph, ParseError, Problem,
                             is_subgraph_isomorphism, parse_lad,
                             parse_multiplex_edgelist, serialize_lad,
                             serialize_multiplex_edgelist)
-from eqmatch.synth import random_multiplex_graph, random_problem, toy_problem
+from eqmatch.synth import (random_multiplex_graph, random_problem,
+                           sparse_multiplex_graph, toy_problem)
 
 import copy
 import random
@@ -76,6 +77,85 @@ class TestMultiplexGraph:
         assert g.label(0) == "a"
         with pytest.raises(ValueError):
             Graph(2, labels=["a"])
+
+
+class TestSharedTuples:
+    """Arcs with equal multiplicity vectors hold one tuple object, so a
+    graph's memory does not grow with arcs times channels."""
+
+    @staticmethod
+    def distinct(g):
+        arcs = [e for nbrs in g.out for e in nbrs.values()]
+        arcs += [e for nbrs in g.inn for e in nbrs.values()]
+        return len({id(e) for e in arcs}), len(set(arcs))
+
+    def test_equal_vectors_are_one_object(self):
+        g = MultiplexGraph(4, channels=3)
+        g.add_edge(0, 1, channel=2, multiplicity=3)
+        g.add_edge(2, 3, channel=2, multiplicity=3)
+        g.add_edge(1, 0, channel=1)
+        g.add_edge(1, 0, channel=3)
+        g.add_edge(3, 2, channel=3)
+        g.add_edge(3, 2, channel=1)
+        assert g.edge(0, 1) is g.edge(2, 3) and g.edge(0, 1) == (0, 3, 0)
+        assert g.edge(1, 0) is g.edge(3, 2) and g.edge(1, 0) == (1, 0, 1)
+        assert g.inn[1][0] is g.out[0][1]
+        text = "4 3\n0 1 2 3\n1 0 1 1\n1 0 3 1\n2 3 2 2\n2 3 2 1\n3 2 3 1\n3 2 1 1\n"
+        h = parse_multiplex_edgelist(text)
+        assert h == g
+        assert h.edge(0, 1) is h.edge(2, 3) and h.edge(1, 0) is h.edge(3, 2)
+        assert h.inn[3][2] is h.out[2][3]
+
+    def test_random_graphs_hold_one_object_per_vector(self):
+        rng = random.Random(21)
+        for i in range(40):
+            g = random_multiplex_graph(rng, rng.randint(2, 12), 1 + i % 4,
+                                       rng.choice([0.2, 0.5]),
+                                       max_multiplicity=3, self_loops=True)
+            ids, values = self.distinct(g)
+            assert ids == values, i
+            h = parse_multiplex_edgelist(serialize_multiplex_edgelist(g))
+            assert h == g and self.distinct(h) == (ids, values), i
+
+    def test_size_flat_in_channel_count(self):
+        # A seeded 5,000-vertex world of 15,000 undirected edges, each in
+        # one random channel: unshared, the arcs' tuples alone would make
+        # K=128 take about 6x K=1's size (CI runs 20,000 vertices).
+        def traced(build):
+            tracemalloc.start()
+            try:
+                g = build()
+                return g, tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        sizes = {}
+        for k in (1, 128):
+            g, built = traced(lambda: sparse_multiplex_graph(
+                random.Random(5000), 5000, 15000, k))
+            text = serialize_multiplex_edgelist(g)
+            h, parsed = traced(lambda: parse_multiplex_edgelist(text))
+            assert h == g
+            sizes[k] = built, parsed
+        for path in (0, 1):
+            assert sizes[128][path] <= 1.5 * sizes[1][path], sizes
+
+    def test_sparse_generator(self):
+        g = sparse_multiplex_graph(random.Random(5), 50, 120, 4)
+        h = sparse_multiplex_graph(random.Random(5), 50, 120, 1)
+        assert g == sparse_multiplex_graph(random.Random(5), 50, 120, 4)
+        assert g.channels == 4 and g.edge_count() == 2 * 120
+        assert all(v != u for u in range(50) for v in g.out[u])
+        assert all(g.edge(v, u) == e for u in range(50)
+                   for v, e in g.out[u].items())
+        # One seed draws the same pairs for every channel count.
+        assert ([sorted(nbrs) for nbrs in g.out]
+                == [sorted(nbrs) for nbrs in h.out])
+        assert len({ch for nbrs in g.out for e in nbrs.values()
+                    for ch, m in enumerate(e) if m}) > 1
+        d = sparse_multiplex_graph(random.Random(5), 50, 120, 2,
+                                   directed=True)
+        assert d.edge_count() == 120
 
 
 class TestDominates:

@@ -1,6 +1,7 @@
 """The equivalence-aware tree search across all seven modes."""
 
 import copy
+import gc
 import json
 import pickle
 import random
@@ -22,7 +23,7 @@ from eqmatch.candidates import (build_candidate_structure, greedy_node_cover,
                                 init_candidates)
 from eqmatch.synth import (cover_problem, huge_count_problem, plant,
                            random_multiplex_graph, random_problem,
-                           star_problem, toy_problem)
+                           sparse_multiplex_graph, star_problem, toy_problem)
 
 from oracles import (brute_force_count, brute_force_solutions, ce_cells,
                      edge_ok, fe_cells, naive_structural_partition, nc_cells,
@@ -195,6 +196,35 @@ class TestSupportRows:
                     for c in cs:
                         expect |= want[c]
                     assert rows.union(cs) == expect, (i, budget)
+
+
+    def test_union_switches_to_buffer_where_budget_runs_out(
+            self, monkeypatch):
+        # The budget fits some entries of the first union, not all: the
+        # row where it runs out is the last entry built; the rest of that
+        # union, and every later one, reads arcs into the buffer.
+        w = sparse_multiplex_graph(random.Random(3), 400, 1200)
+        t = Graph(2)
+        t.add_edge(0, 1)
+        t.add_edge(1, 0)
+        built = [0]
+        missing = search._Masks.__missing__
+        def counted(self, c):
+            built[0] += 1
+            return missing(self, c)
+        monkeypatch.setattr(search._Masks, "__missing__", counted)
+        monkeypatch.setattr(search, "_ROW_BYTES", 20000)
+        rows = _support_masks(t, w)[0][0][0][1]
+        cs = list(range(400))
+        want = 0
+        for c in cs:
+            want |= sum(1 << c2 for c2 in w.out[c])
+        assert rows.union(cs) == want
+        kept = len(rows.masks)
+        assert 0 < kept < 400 and built[0] == kept + 1
+        assert rows.masks.budget == [0]
+        assert rows.union(cs[::-1]) == want and built[0] == kept + 1
+        assert all(rows[c] == sum(1 << c2 for c2 in w.out[c]) for c in cs)
 
 
 class TestOneRead:
@@ -848,6 +878,36 @@ class TestLimits:
                                 on_class=got.append, collect=False)
         assert classes == []
         assert len(got) == report.representatives == 2
+
+
+class TestDeadlineInLargeWorld:
+    """The deadline holds inside the first unions of a world far past the
+    memo budget: the triangle and the 3-star in a seeded sparse undirected
+    100,000-vertex world (3n drawn edges), whose root domains cover nearly
+    every vertex. Building the world is not timed."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        w = sparse_multiplex_graph(random.Random(100000), 100000, 300000)
+        # The collector's first full pass over the new world (0.36 s on 2
+        # vCPUs) is owed by the build; unpaid, it lands in the first solve.
+        gc.collect()
+        return w
+
+    @pytest.mark.parametrize("mode", [Mode.NE, Mode.FE])
+    @pytest.mark.parametrize("edges", [[(0, 1), (1, 2), (0, 2)],
+                                       [(0, 1), (0, 2), (0, 3)]],
+                             ids=["triangle", "3-star"])
+    def test_returns_within_half_a_second_of_timeout(self, world, mode,
+                                                     edges):
+        t = Graph(1 + max(map(max, edges)))
+        for a, b in edges:
+            t.add_edge(a, b)
+            t.add_edge(b, a)
+        start = time.monotonic()
+        report, _ = solve(Problem(t, world), mode, timeout=1, collect=False)
+        assert report.status == "timed_out"
+        assert time.monotonic() - start <= 1.5
 
 
 class TestWeighing:
