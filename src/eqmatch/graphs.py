@@ -31,12 +31,16 @@ class MultiplexGraph:
     Arcs share their tuples: ``add_edge`` and
     :func:`parse_multiplex_edgelist` store, for every arc with the same
     multiplicity vector, the one tuple object the graph's interning table
-    holds for it. So the vectors take memory in proportion to the
-    distinct edge types, not to arcs times channels, and ``out[u][v] is
-    inn[v][u]`` for every arc.
+    holds for it, and ``out[u][v] is inn[v][u]`` for every arc. A parsed
+    graph's table holds exactly its distinct vectors. An ``add_edge`` to an
+    existing arc can leave the arc's old vector in the table with no arc
+    holding it; the table is pruned once there are more such calls than
+    arcs, so it never outgrows one tuple per arc beyond the distinct
+    vectors, and pruning costs O(1) amortised per call.
     """
 
-    __slots__ = ("vertex_count", "channels", "out", "inn", "labels", "_types")
+    __slots__ = ("vertex_count", "channels", "out", "inn", "labels", "_types",
+                 "_slack")
 
     def __init__(self, vertex_count: int, channels: int = 1,
                  labels: list[str | None] | None = None):
@@ -52,6 +56,7 @@ class MultiplexGraph:
             raise ValueError("labels must have one entry per vertex")
         self.labels = labels
         self._types: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._slack = 0  # add_edge calls on existing arcs until a prune
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.vertex_count:
@@ -68,7 +73,11 @@ class MultiplexGraph:
     def add_edge(self, u: int, v: int, channel: int = 1, multiplicity: int = 1) -> None:
         """Add ``multiplicity`` parallel edges u->v in ``channel`` (1-based)."""
         self._check_arc(u, v, channel, multiplicity)
+        if v in self.out[u]:
+            self._slack -= 1
         self._add_arcs(((u, v, channel, multiplicity),))
+        if self._slack < 0:
+            self._prune_types()
 
     def _add_arcs(self, arcs) -> None:
         """Add each checked ``(u, v, channel, multiplicity)`` of ``arcs``;
@@ -80,6 +89,11 @@ class MultiplexGraph:
             new[channel - 1] += multiplicity
             t = tuple(new)
             out[u][v] = inn[v][u] = types.setdefault(t, t)
+
+    def _prune_types(self) -> None:
+        """Keep in the interning table only the tuples that arcs hold."""
+        self._types = {e: e for arcs in self.out for e in arcs.values()}
+        self._slack = sum(map(len, self.out))
 
     def edge(self, u: int, v: int) -> tuple[int, ...] | None:
         """Per-channel multiplicities of u->v, or None if absent in all channels."""
@@ -302,6 +316,8 @@ def parse_multiplex_edgelist(text: str) -> MultiplexGraph:
     g = MultiplexGraph(n, channels=k)
     quads = iter(edges)
     g._add_arcs(zip(quads, quads, quads, quads))
+    if sum(map(len, g.out)) < len(edges) // 4:
+        g._prune_types()  # some arc summed several quads
     return g
 
 

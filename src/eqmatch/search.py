@@ -269,13 +269,11 @@ class _Masks(dict):
     both directions, zero once spent). An entry is kept until one no longer
     fits; past that, a missing entry is built, raised in :class:`_Spent`
     and not kept, so that a reader can switch paths without a test per
-    row. ``deadline`` bounds the unions that read past the budget."""
+    row."""
 
-    def __init__(self, adj, accepts: _Accepts, budget: list[int],
-                 deadline: float | None = None):
+    def __init__(self, adj, accepts: _Accepts, budget: list[int]):
         super().__init__()
         self.adj, self.accepts, self.budget = adj, accepts, budget
-        self.deadline = deadline
 
     def __missing__(self, c: int) -> list[int]:
         masks, accepts = [0] * len(self.accepts.reqs), self.accepts
@@ -306,13 +304,13 @@ class _Rows:
         except _Spent as spent:
             return spent.masks[self.i]
 
-    def union(self, cs: list[int]) -> int:
+    def union(self, cs: list[int], deadline: float | None = None) -> int:
         """The OR of the rows of ``cs``. While the budget lasts, every row
         is (or becomes) part of a memoised entry. From the row where it
         runs out, the bits of the rows not memoised are set in one byte
         buffer, so that the cost stays linear in their arcs instead of
         growing with |cs| x |V_w|; the buffer is made only when some row is
-        missing, and the deadline is checked every ``_CHECK_EVERY`` rows."""
+        missing, and ``deadline`` is checked every ``_CHECK_EVERY`` rows."""
         masks, i, m = self.masks, self.i, 0
         if masks.budget[0]:
             try:
@@ -322,8 +320,7 @@ class _Rows:
             except _Spent as spent:
                 m |= spent.masks[i]
                 cs = cs[cs.index(spent.c) + 1:]
-        accepts, adj, deadline, buf = (masks.accepts, masks.adj,
-                                       masks.deadline, None)
+        accepts, adj, buf = masks.accepts, masks.adj, None
         for start in range(0, len(cs), _CHECK_EVERY):
             if deadline is not None and time.monotonic() >= deadline:
                 raise DeadlineExceeded
@@ -343,8 +340,7 @@ class _Rows:
 _ROW_BYTES = 16 << 20  # memoised support masks per solve
 
 
-def _support_masks(t: MultiplexGraph, w: MultiplexGraph,
-                   deadline: float | None = None):
+def _support_masks(t: MultiplexGraph, w: MultiplexGraph):
     """World support masks for every template arc, ``(tnbrs, tself)``.
 
     Every template edge is read from both of its ends, so both directions
@@ -354,13 +350,12 @@ def _support_masks(t: MultiplexGraph, w: MultiplexGraph,
     neighbour ``u2`` of ``u``, with the requirements ``t.edge(u, u2)`` and
     ``t.edge(u2, u)``, so that ``out[c]`` holds the candidates of ``u2``
     that an image ``c`` of ``u`` supports through the edge ``u -> u2``;
-    ``tself[u]`` is the ``(out, in)`` pair of u's self-loop. ``deadline``
-    bounds the unions that read past the budget."""
+    ``tself[u]`` is the ``(out, in)`` pair of u's self-loop."""
     reqs = list(dict.fromkeys(e for arcs in t.out for e in arcs.values()))
     accepts, budget = _Accepts(reqs), [_ROW_BYTES]
     views = {}
     for out, adj in ((True, w.out), (False, w.inn)):
-        masks = _Masks(adj, accepts, budget, deadline)
+        masks = _Masks(adj, accepts, budget)
         views.update(((req, out), _Rows(masks, i))
                      for i, req in enumerate(reqs))
     views[None, True] = views[None, False] = None
@@ -410,7 +405,7 @@ def _propagate(tnbrs, jc: list[int], changed,
             for rows in (out, inn):
                 if rows is not None:
                     if rows not in unions:
-                        unions[rows] = rows.union(xbits)
+                        unions[rows] = rows.union(xbits, deadline)
                     keep &= unions[rows]
             if keep != dy:
                 jc[y] = keep
@@ -428,7 +423,7 @@ class _Searcher:
 
         rule = _RULES[mode]
         t = self.t
-        self.tnbrs, self.tself = _support_masks(t, self.w, deadline)
+        self.tnbrs, self.tself = _support_masks(t, self.w)
         self.tdegree = [t.degree(u) for u in range(self.nt)]
         self.tp = (find_equivalence_classes(t, deadline=deadline)
                    if rule.template_partition else Partition.trivial(self.nt))

@@ -89,22 +89,20 @@ def random_multiplex_graph(rng: random.Random, n: int, channels: int,
 
 
 def sparse_multiplex_graph(rng: random.Random, n: int, edge_count: int,
-                           channels: int = 1,
-                           directed: bool = False) -> MultiplexGraph:
+                           channels: int = 1) -> MultiplexGraph:
     """Sparse multiplex graph of ``edge_count`` drawn edges, in time linear
     in them: each joins two distinct uniform vertices with multiplicity 1
     in one uniform channel, and an edge drawn twice adds up.
 
     All pairs are drawn before any channel, so for one seed the graphs of
     every ``channels`` share their pairs and differ only in channels.
-    Undirected graphs are stored as symmetric directed edges."""
+    The graph is undirected, stored as symmetric directed edges."""
     pairs = [rng.sample(range(n), 2) for _ in range(edge_count)]
     chans = rng.choices(range(1, channels + 1), k=edge_count)
     g = MultiplexGraph(n, channels)
     for (a, b), ch in zip(pairs, chans):
         g.add_edge(a, b, ch)
-        if not directed:
-            g.add_edge(b, a, ch)
+        g.add_edge(b, a, ch)
     return g
 
 

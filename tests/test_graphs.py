@@ -140,6 +140,49 @@ class TestSharedTuples:
         for path in (0, 1):
             assert sizes[128][path] <= 1.5 * sizes[1][path], sizes
 
+    def test_table_keeps_final_vectors_of_multichannel_arcs(self):
+        # Each edge sits in 1-4 of 16 channels with multiplicities 1-3, so
+        # most arcs take several quads or add_edge calls to build and pass
+        # through vectors that no arc keeps.
+        rng = random.Random(16)
+        g = MultiplexGraph(2000, channels=16)
+        for _ in range(6000):
+            a, b = rng.sample(range(2000), 2)
+            for ch in rng.sample(range(1, 17), rng.randint(1, 4)):
+                m = rng.randint(1, 3)
+                g.add_edge(a, b, ch, m)
+                g.add_edge(b, a, ch, m)
+        arcs = [e for nbrs in g.out for e in nbrs.values()]
+        final = set(arcs)
+        assert len(final) < len(arcs) and final <= g._types.keys()
+        assert len(g._types) <= len(final) + len(arcs)
+        text = serialize_multiplex_edgelist(g)
+        tracemalloc.start()
+        try:
+            h = parse_multiplex_edgelist(text)
+            shared = tracemalloc.get_traced_memory()[0]
+            del h
+            # One tuple per arc, as the graph held before it shared them.
+            h = parse_multiplex_edgelist(text)
+            for u, nbrs in enumerate(h.out):
+                for v, e in nbrs.items():
+                    nbrs[v] = h.inn[v][u] = tuple(list(e))
+            h._types = {}
+            unshared = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        h = parse_multiplex_edgelist(text)
+        assert h == g and len(h._types) == len(final)
+        assert h._types.keys() == final
+        assert shared <= unshared, (shared, unshared)
+        # Arcs that share no vector and pass through three each: unpruned,
+        # the table would hold three tuples per arc that no arc keeps.
+        d = MultiplexGraph(500, channels=4)
+        for ch in range(1, 5):
+            for u in range(500):
+                d.add_edge(u, (u + 1) % 500, ch, u + 1)
+        assert len(d._types) <= 2 * 500
+
     def test_sparse_generator(self):
         g = sparse_multiplex_graph(random.Random(5), 50, 120, 4)
         h = sparse_multiplex_graph(random.Random(5), 50, 120, 1)
@@ -153,9 +196,6 @@ class TestSharedTuples:
                 == [sorted(nbrs) for nbrs in h.out])
         assert len({ch for nbrs in g.out for e in nbrs.values()
                     for ch, m in enumerate(e) if m}) > 1
-        d = sparse_multiplex_graph(random.Random(5), 50, 120, 2,
-                                   directed=True)
-        assert d.edge_count() == 120
 
 
 class TestDominates:

@@ -352,9 +352,9 @@ class TestPropagate:
             world.add_edge(b, a)
         rows = [0]
         union = search._Rows.union
-        def counted(self, cs):
+        def counted(self, cs, deadline=None):
             rows[0] += len(cs)
-            return union(self, cs)
+            return union(self, cs, deadline)
         monkeypatch.setattr(search._Rows, "union", counted)
         for cycle in (3, 4):
             t = Graph(cycle)
