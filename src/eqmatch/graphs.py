@@ -227,14 +227,16 @@ def parse_lad(text: str) -> Graph:
     if len(ints) > n:
         g = Graph(n)
         out, inn = g.out, g.inn
+        ids = list(range(n))  # one key object per vertex, not per token
     else:
         # Fewer than n + 1 integers cannot hold n out-degrees, so the walk
         # raises at the text's first fault. Until then it writes into dicts
         # made for the vertices it reaches, not into n of each.
         out = inn = defaultdict(dict)
+        ids = range(n)
     one = (1,)
     pos = 1
-    for v in range(n):
+    for v in ids:
         if pos == len(ints):
             raise toks.stop(f"out-degree of vertex {v}")
         deg = ints[pos]
@@ -246,7 +248,7 @@ def parse_lad(text: str) -> Graph:
         for i, w in enumerate(nbrs, pos):  # a repeated arc rewrites (1,)
             if not 0 <= w < n:
                 raise ParseError(toks.line(i), f"neighbor index {w} out of range [0, {n})")
-            outv[w] = inn[w][v] = one
+            outv[ids[w]] = inn[w][v] = one
         if len(nbrs) < deg:
             raise toks.stop(f"neighbor of vertex {v}")
         pos += deg
@@ -314,8 +316,10 @@ def parse_multiplex_edgelist(text: str) -> MultiplexGraph:
             raise ParseError(lineno, "expected 'src dst channel multiplicity'")
         raise toks.stop("'src dst channel multiplicity'")
     g = MultiplexGraph(n, channels=k)
-    quads = iter(edges)
-    g._add_arcs(zip(quads, quads, quads, quads))
+    ids = list(range(n))  # one key object per vertex, not per token
+    g._add_arcs(zip(map(ids.__getitem__, edges[0::4]),
+                    map(ids.__getitem__, edges[1::4]), edges[2::4],
+                    edges[3::4]))
     if sum(map(len, g.out)) < len(edges) // 4:
         g._prune_types()  # some arc summed several quads
     return g

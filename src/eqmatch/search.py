@@ -71,9 +71,11 @@ domain list shares every int of its parent's except the branching
 vertex's, which becomes ``1 << image``.
 A mask is as wide as the world, so entries are built on first use and
 memoised within ``_ROW_BYTES`` per solve. A world of a few thousand
-vertices fits whole; from the row where the budget runs out, a revision
-sets the bits of the masks it lacks in a byte buffer, linear in the arcs
-it reads, and checks the deadline every ``_CHECK_EVERY`` rows.
+vertices fits whole. A revision whose rows cannot spend the budget left,
+even at the largest cost an entry can have, ORs them in one plain loop;
+otherwise it memoises rows while the budget lasts, then sets the bits of
+the masks it lacks in a byte buffer, linear in the arcs it reads, and
+checks the deadline every ``_CHECK_EVERY`` rows.
 Domains kept during search include already-used world vertices (a used
 vertex stays listed while it remains joinable); this lets recomputed cells
 report the full interchange class, with multipliers discounting the
@@ -247,15 +249,6 @@ class _Accepts(dict):
         return ok
 
 
-class _Spent(Exception):
-    """The entry of world vertex ``c``, built after the budget ran out and
-    not memoised."""
-
-    def __init__(self, c: int, masks: list[int]):
-        super().__init__()
-        self.c, self.masks = c, masks
-
-
 class _Masks(dict):
     """The support masks of one direction, keyed by world vertex: entry
     ``c`` holds, for each requirement ``i`` of the solve, the world out- (or
@@ -267,13 +260,14 @@ class _Masks(dict):
     therefore built on first use, for candidates only, and memoised within
     the solve's byte budget (a one-element list of bytes left, shared by
     both directions, zero once spent). An entry is kept until one no longer
-    fits; past that, a missing entry is built, raised in :class:`_Spent`
-    and not kept, so that a reader can switch paths without a test per
-    row."""
+    fits; past that, a missing entry is built and returned but not kept.
+    ``most`` bounds the cost of any entry, so a reader of ``k`` rows knows
+    that the budget lasts when ``k * most`` fits in it."""
 
     def __init__(self, adj, accepts: _Accepts, budget: list[int]):
         super().__init__()
         self.adj, self.accepts, self.budget = adj, accepts, budget
+        self.most = 128 + len(accepts.reqs) * (len(adj) // 7 + 36)
 
     def __missing__(self, c: int) -> list[int]:
         masks, accepts = [0] * len(self.accepts.reqs), self.accepts
@@ -286,9 +280,9 @@ class _Masks(dict):
         if self.budget[0] >= cost:
             self.budget[0] -= cost
             self[c] = masks
-            return masks
-        self.budget[0] = 0
-        raise _Spent(c, masks)
+        else:
+            self.budget[0] = 0
+        return masks
 
 
 class _Rows:
@@ -299,35 +293,29 @@ class _Rows:
         self.masks, self.i = masks, i
 
     def __getitem__(self, c: int) -> int:
-        try:
-            return self.masks[c][self.i]
-        except _Spent as spent:
-            return spent.masks[self.i]
+        return self.masks[c][self.i]
 
     def union(self, cs: list[int], deadline: float | None = None) -> int:
-        """The OR of the rows of ``cs``. While the budget lasts, every row
-        is (or becomes) part of a memoised entry. From the row where it
-        runs out, the bits of the rows not memoised are set in one byte
-        buffer, so that the cost stays linear in their arcs instead of
-        growing with |cs| x |V_w|; the buffer is made only when some row is
-        missing, and ``deadline`` is checked every ``_CHECK_EVERY`` rows."""
+        """The OR of the rows of ``cs``. When the budget left holds
+        ``len(cs)`` entries of the largest cost, every row is (or becomes)
+        part of a memoised entry. Otherwise each row is ORed in from its
+        entry while it is memoised or the budget lasts; once the budget is
+        spent, the bits of a row not memoised are set in one byte buffer,
+        so that the cost stays linear in their arcs instead of growing with
+        |cs| x |V_w|. The buffer is made only when some row needs it, and
+        ``deadline`` is checked every ``_CHECK_EVERY`` rows."""
         masks, i, m = self.masks, self.i, 0
-        if masks.budget[0]:
-            try:
-                for c in cs:
-                    m |= masks[c][i]
-                return m
-            except _Spent as spent:
-                m |= spent.masks[i]
-                cs = cs[cs.index(spent.c) + 1:]
+        if len(cs) * masks.most <= masks.budget[0]:
+            for c in cs:
+                m |= masks[c][i]
+            return m
         accepts, adj, buf = masks.accepts, masks.adj, None
         for start in range(0, len(cs), _CHECK_EVERY):
             if deadline is not None and time.monotonic() >= deadline:
                 raise DeadlineExceeded
             for c in cs[start:start + _CHECK_EVERY]:
-                row = masks.get(c)
-                if row is not None:
-                    m |= row[i]
+                if c in masks or masks.budget[0]:
+                    m |= masks[c][i]
                     continue
                 if buf is None:
                     buf = bytearray((len(adj) + 7) // 8)
@@ -345,12 +333,13 @@ def _support_masks(t: MultiplexGraph, w: MultiplexGraph):
 
     Every template edge is read from both of its ends, so both directions
     share one list of the distinct requirements. One :class:`_Rows` view is
-    made per (requirement, direction); ``None`` stands for an absent
-    template edge. ``tnbrs[u]`` holds ``(u2, out, in)`` for each template
-    neighbour ``u2`` of ``u``, with the requirements ``t.edge(u, u2)`` and
-    ``t.edge(u2, u)``, so that ``out[c]`` holds the candidates of ``u2``
-    that an image ``c`` of ``u`` supports through the edge ``u -> u2``;
-    ``tself[u]`` is the ``(out, in)`` pair of u's self-loop."""
+    made per (requirement, direction). ``tnbrs[u]`` holds ``(u2, rows)``
+    for each template edge between ``u`` and a neighbour ``u2``, grouped by
+    neighbour: the out-row of ``t.edge(u, u2)``, whose ``rows[c]`` holds
+    the candidates of ``u2`` that an image ``c`` of ``u`` supports through
+    the edge ``u -> u2``, then the in-row of ``t.edge(u2, u)``.
+    ``tself[u]`` is the ``(out, in)`` pair of u's self-loop, ``None`` for
+    both when it has none."""
     reqs = list(dict.fromkeys(e for arcs in t.out for e in arcs.values()))
     accepts, budget = _Accepts(reqs), [_ROW_BYTES]
     views = {}
@@ -363,8 +352,10 @@ def _support_masks(t: MultiplexGraph, w: MultiplexGraph):
     tnbrs, tself = [], []
     for u in range(t.vertex_count):
         nbrs = sorted((t.out[u].keys() | t.inn[u].keys()) - {u})
-        tnbrs.append(tuple((u2, views[t.edge(u, u2), True],
-                            views[t.edge(u2, u), False]) for u2 in nbrs))
+        tnbrs.append(tuple((u2, views[req, out]) for u2 in nbrs
+                           for req, out in ((t.edge(u, u2), True),
+                                            (t.edge(u2, u), False))
+                           if req is not None))
         tself.append((views[t.edge(u, u), True], views[t.edge(u, u), False]))
     return tnbrs, tself
 
@@ -396,18 +387,15 @@ def _propagate(tnbrs, jc: list[int], changed,
         x = queue.popitem()[0]
         xbits = None  # x's candidates, decoded for its first unmatched y
         unions = {}  # one OR per row view: neighbours often share views
-        for y, out, inn in tnbrs[x]:
+        for y, rows in tnbrs[x]:
             if y in matched:
                 continue
             if xbits is None:
                 xbits = _bits(jc[x])
-            keep = dy = jc[y]
-            for rows in (out, inn):
-                if rows is not None:
-                    if rows not in unions:
-                        unions[rows] = rows.union(xbits, deadline)
-                    keep &= unions[rows]
-            if keep != dy:
+            if rows not in unions:
+                unions[rows] = rows.union(xbits, deadline)
+            keep = jc[y] & unions[rows]
+            if keep != jc[y]:
                 jc[y] = keep
                 queue[y] = None
 
@@ -483,13 +471,11 @@ class _Searcher:
             d = jc[uprime]
             inside = [piece for cell in cells if (piece := cell & d)]
             cells = [piece for cell in cells if (piece := cell & ~d)]
-            for u2, out, inn in self.tnbrs[uprime]:
+            for u2, rows in self.tnbrs[uprime]:
                 if u2 not in assigned:
                     d2 = jc[u2]
-                    for rows in (out, inn):
-                        if rows is not None:
-                            inside = _refine(inside, lambda cell: {
-                                c: rows[c] & d2 for c in _bits(cell)})
+                    inside = _refine(inside, lambda cell: {
+                        c: rows[c] & d2 for c in _bits(cell)})
             out, inn = self.tself[uprime]
             if out is not None:
                 inside = _refine(inside, lambda cell: _own_labels(out, inn,

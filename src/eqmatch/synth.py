@@ -47,15 +47,14 @@ def cover_problem() -> Problem:
     return Problem(t, w, directed=False)
 
 
-def star_problem(template_leaves: int, world_leaves: int,
-                 channels: int = 1) -> Problem:
+def star_problem(template_leaves: int, world_leaves: int) -> Problem:
     """Out-star template (hub 0) inside a larger out-star world."""
-    t = MultiplexGraph(template_leaves + 1, channels)
+    t = MultiplexGraph(template_leaves + 1)
     for v in range(1, template_leaves + 1):
-        t.add_edge(0, v, channel=1)
-    w = MultiplexGraph(world_leaves + 1, channels)
+        t.add_edge(0, v)
+    w = MultiplexGraph(world_leaves + 1)
     for v in range(1, world_leaves + 1):
-        w.add_edge(0, v, channel=1)
+        w.add_edge(0, v)
     return Problem(t, w)
 
 

@@ -198,6 +198,21 @@ class TestSharedTuples:
                     for ch, m in enumerate(e) if m}) > 1
 
 
+class TestSharedKeys:
+    def test_parsed_graph_holds_one_key_object_per_vertex(self):
+        # Ints above 256 are not cached: keyed by each token's own int, a
+        # parsed graph would hold two key objects per arc.
+        g = sparse_multiplex_graph(random.Random(2000), 2000, 6000)
+        for parse, text in ((parse_multiplex_edgelist,
+                             serialize_multiplex_edgelist(g)),
+                            (parse_lad, serialize_lad(g))):
+            h = parse(text)
+            assert [nbrs.keys() for nbrs in h.out] == [
+                nbrs.keys() for nbrs in g.out], parse
+            keys = {id(v) for nbrs in (*h.out, *h.inn) for v in nbrs}
+            assert len(keys) <= 2000, parse
+
+
 class TestDominates:
     def test_positive_channels_only(self):
         assert dominates((2, 0), (1, 0))

@@ -172,11 +172,22 @@ class TestSupportRows:
             for budget in (search._ROW_BYTES, 0, 600):
                 monkeypatch.setattr(search, "_ROW_BYTES", budget)
                 tnbrs, tself = _support_masks(t, w)
-                checks = [(rows, req, out) for u, nbrs in enumerate(tnbrs)
-                          for u2, *pair in nbrs
-                          for rows, req, out in zip(pair, (t.edge(u, u2),
-                                                           t.edge(u2, u)),
-                                                    (True, False))]
+                # Each arc u -> u2 (u != u2) is listed once as an out-row
+                # of u and once as an in-row of u2, grouped by neighbour.
+                checks, listed = [], Counter()
+                for u, nbrs in enumerate(tnbrs):
+                    assert [u2 for u2, _ in nbrs] == sorted(
+                        u2 for u2, _ in nbrs), (i, budget)
+                    for u2, rows in nbrs:
+                        assert rows is not None and u2 != u, (i, budget)
+                        out = rows.masks.adj is w.out
+                        arc = (u, u2) if out else (u2, u)
+                        listed[arc, out] += 1
+                        checks.append((rows, t.edge(*arc), out))
+                assert listed == Counter({((u, u2), out): 1
+                                          for u in range(t.vertex_count)
+                                          for u2 in t.out[u] if u2 != u
+                                          for out in (True, False)}), i
                 checks += [(rows, t.edge(u, u), out)
                            for u, pair in enumerate(tself)
                            for rows, out in zip(pair, (True, False))]
