@@ -48,22 +48,27 @@ costs one generator resume.
 
 One filter prunes the candidates: ``init_candidates`` applies the unary
 tests once, and ``_propagate`` keeps the domains arc consistent, from every
-vertex at the root and from the branching vertex's template class below,
-the branching vertex popped first. After a sibling prune its template
-siblings are still nearly as wide as the world; its one image narrows
-each adjacent sibling to the neighbours of that image before the sibling's
-own candidates are unioned. The closure is the same in any order.
-A matched vertex is never revised: its image kept its support when it was
-matched, and stays supported while its neighbours' domains are non-empty.
+vertex at the root and from the branching vertex's template class below.
+It pops the narrowest queued domain first (Wallace and Freuder, 1992), so
+a wide domain is unioned after its narrow neighbours have cut it down, not
+before. Below the root that is the branching vertex, whose domain is its
+one image: after a sibling prune its template siblings are still nearly
+as wide as the world, and that image narrows each adjacent sibling before
+the sibling's own candidates are unioned. The closure is the same in any
+order. A matched vertex is never revised: its image kept its support when
+it was matched, and stays supported while its neighbours' domains are
+non-empty.
 
 A domain is a Python ``int`` used as a bitset: bit ``c`` is set when world
 vertex ``c`` is a candidate. A solve lists the distinct template-edge
 requirements once, for both directions, since every template edge is read
 from both of its ends. ``_support_masks`` keeps one ``_Masks`` memo per
 direction, whose entry ``c`` holds one mask per requirement: the world
-neighbours of ``c`` whose edge dominates it. The entry is built from one
-read of c's arcs, and ``dominates`` is called once per (edge tuple,
-requirement). A ``_Rows`` view picks one requirement's mask from a memo.
+neighbours of ``c`` whose edge dominates it. A symmetric world, where
+every arc has its reverse with the same tuple, has one memo for both
+directions. The entry is built from one read of c's arcs, and
+``dominates`` is called once per (edge tuple, requirement). A ``_Rows``
+view picks one requirement's mask from a memo.
 A revision of ``y`` against a popped ``x`` ANDs ``jc[y]`` with the OR of
 the masks of x's candidates (one mask when ``x`` is matched), a cell is
 refined by the key ``out[c] & jc[u2]`` of one row at a time, and a child's
@@ -250,10 +255,11 @@ class _Accepts(dict):
 
 
 class _Masks(dict):
-    """The support masks of one direction, keyed by world vertex: entry
-    ``c`` holds, for each requirement ``i`` of the solve, the world out- (or
-    in-) neighbours of ``c`` whose edge dominates it. One read of c's arcs
-    sets each neighbour's bit in every mask its edge tuple is accepted by.
+    """The support masks of one direction (of both, in a symmetric world),
+    keyed by world vertex: entry ``c`` holds, for each requirement ``i`` of
+    the solve, the world out- (or in-) neighbours of ``c`` whose edge
+    dominates it. One read of c's arcs sets each neighbour's bit in every
+    mask its edge tuple is accepted by.
 
     A mask is as wide as the highest neighbour it holds, so a full table
     would take O(|V_w|^2) bits in a large sparse world. Entries are
@@ -342,21 +348,21 @@ def _support_masks(t: MultiplexGraph, w: MultiplexGraph):
     both when it has none."""
     reqs = list(dict.fromkeys(e for arcs in t.out for e in arcs.values()))
     accepts, budget = _Accepts(reqs), [_ROW_BYTES]
-    views = {}
-    for out, adj in ((True, w.out), (False, w.inn)):
-        masks = _Masks(adj, accepts, budget)
-        views.update(((req, out), _Rows(masks, i))
-                     for i, req in enumerate(reqs))
-    views[None, True] = views[None, False] = None
+    masks = [_Masks(adj, accepts, budget)
+             for adj in ((w.out,) if w.out == w.inn else (w.out, w.inn))]
+    views = {None: (None, None)}
+    for i, req in enumerate(reqs):
+        rows = [_Rows(m, i) for m in masks]
+        views[req] = rows[0], rows[-1]
 
     tnbrs, tself = [], []
     for u in range(t.vertex_count):
         nbrs = sorted((t.out[u].keys() | t.inn[u].keys()) - {u})
-        tnbrs.append(tuple((u2, views[req, out]) for u2 in nbrs
-                           for req, out in ((t.edge(u, u2), True),
-                                            (t.edge(u2, u), False))
-                           if req is not None))
-        tself.append((views[t.edge(u, u), True], views[t.edge(u, u), False]))
+        tnbrs.append(tuple(dict.fromkeys(
+            (u2, rows) for u2 in nbrs
+            for rows in (views[t.edge(u, u2)][0], views[t.edge(u2, u)][1])
+            if rows is not None)))
+        tself.append(views[t.edge(u, u)])
     return tnbrs, tself
 
 
@@ -364,12 +370,14 @@ def _propagate(tnbrs, jc: list[int], changed,
                deadline: float | None = None, matched=()) -> None:
     """Arc consistency, in place, from the vertices in ``changed``.
 
-    Every other arc must already be consistent. A popped vertex ``x``
-    revises each template neighbour ``y``: a candidate of ``y`` stays if
-    some candidate of ``x`` supports it, so ``jc[y]`` is intersected with
-    the OR of the masks of x's candidates (one mask when ``x`` is matched).
-    A neighbour that loses candidates is queued again. Out- and in-support
-    are independent: each may come from a different candidate of ``x``.
+    Every other arc must already be consistent. The queue maps each vertex
+    to its domain size, and the narrowest is popped first, ties in the
+    order queued. A popped vertex ``x`` revises each template neighbour
+    ``y``: a candidate of ``y`` stays if some candidate of ``x`` supports
+    it, so ``jc[y]`` is intersected with the OR of the masks of x's
+    candidates (one mask when ``x`` is matched). A neighbour that loses
+    candidates is queued again with its new size. Out- and in-support are
+    independent: each may come from a different candidate of ``x``.
     The candidates of ``x`` are decoded only when it has a neighbour to
     revise, so a vertex whose neighbours are all matched costs one pop.
 
@@ -380,11 +388,12 @@ def _propagate(tnbrs, jc: list[int], changed,
     non-empty. An empty neighbour is unmatched, and its node fails on it.
     The search passes its matched vertices; ``apply_filters`` passes none,
     since a match given by hand may be inconsistent."""
-    queue = dict.fromkeys(changed)  # an ordered set, popped last-in first
+    queue = {v: jc[v].bit_count() for v in changed}
     while queue:
         if deadline is not None and time.monotonic() >= deadline:
             raise DeadlineExceeded
-        x = queue.popitem()[0]
+        x = min(queue, key=queue.__getitem__)
+        del queue[x]
         xbits = None  # x's candidates, decoded for its first unmatched y
         unions = {}  # one OR per row view: neighbours often share views
         for y, rows in tnbrs[x]:
@@ -397,7 +406,7 @@ def _propagate(tnbrs, jc: list[int], changed,
             keep = jc[y] & unions[rows]
             if keep != jc[y]:
                 jc[y] = keep
-                queue[y] = None
+                queue[y] = keep.bit_count()
 
 
 class _Searcher:
@@ -537,8 +546,7 @@ class _Searcher:
         while True:
             # ``_propagate`` checks the deadline before its first pop, and
             # ``changed`` is never empty: every vertex at the root, the
-            # branching vertex's template class below, that vertex popped
-            # first.
+            # branching vertex's template class below.
             _propagate(self.tnbrs, jc, changed, deadline, assigned)
             free = ~self.used
             sizes = {v: (jc[v] & free).bit_count()
@@ -590,13 +598,9 @@ class _Searcher:
             assigned[u] = rep
             self.used |= 1 << rep
             slots.append(Slot(u, tclass, rep, members, mult))
-            # The prune above may have shrunk u's template siblings. The
-            # queue pops last-in first, so u goes last: its one image
-            # narrows each adjacent sibling before that sibling, still
-            # nearly as wide as the world, is unioned.
             jc = list(jc)
             jc[u] = 1 << rep
-            changed = (*(v for v in tclass if v != u), u)
+            changed = tclass
 
 
 def _refine(cells: list[int], labels) -> list[int]:

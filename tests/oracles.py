@@ -9,7 +9,8 @@ labels, which the caller supplies), a per-arc rule for the
 solution-induced subgraph of a class, a reference class expander whose
 map order the engine's must keep, a per-arc isomorphism checker,
 an interchange count that treats singleton classes like any other,
-the unary tests (label, degrees, self-loop) read one arc at a time, and
+the unary tests (label, degrees, self-loop) read one arc at a time, an
+arc-consistent closure over sets, swept one template arc at a time, and
 reference LAD and multiplex parsers that read one token (or one line) at
 a time and insert each arc through ``add_edge``.
 """
@@ -101,6 +102,31 @@ def unary_candidates(problem: Problem) -> list[set[int]]:
                      for (wi, wo), (ti, to) in zip(wdeg[c], tdeg[u]))
              and edge_ok(w.edge(c, c), t.edge(u, u))}
             for u in range(t.vertex_count)]
+
+
+def arc_consistent(problem: Problem, domains: list[set[int]]
+                   ) -> list[set[int]]:
+    """The arc-consistent closure of ``domains``, as sets: every template
+    arc ``u -> v`` (``u != v``) is swept until a whole pass changes
+    nothing. A candidate ``c`` of ``u`` stays if some candidate ``c2`` of
+    ``v`` has a world arc ``c -> c2`` dominating the template arc, and a
+    candidate of ``v`` likewise. Injectivity is not enforced."""
+    t, w = problem.template, problem.world
+    domains = [set(d) for d in domains]
+    arcs = [(u, v, req) for u in range(t.vertex_count)
+            for v, req in t.out[u].items() if u != v]
+    changed = True
+    while changed:
+        changed = False
+        for u, v, req in arcs:
+            sources = {c for c in domains[u]
+                       if any(edge_ok(w.edge(c, c2), req) for c2 in domains[v])}
+            targets = {c2 for c2 in domains[v]
+                       if any(edge_ok(w.edge(c, c2), req) for c in sources)}
+            if (sources, targets) != (domains[u], domains[v]):
+                domains[u], domains[v] = sources, targets
+                changed = True
+    return domains
 
 
 def interchange_reference(pairs) -> int:

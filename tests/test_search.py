@@ -25,9 +25,9 @@ from eqmatch.synth import (cover_problem, huge_count_problem, plant,
                            random_multiplex_graph, random_problem,
                            sparse_multiplex_graph, star_problem, toy_problem)
 
-from oracles import (brute_force_count, brute_force_solutions, ce_cells,
-                     edge_ok, fe_cells, naive_structural_partition, nc_cells,
-                     verify_mapping)
+from oracles import (arc_consistent, brute_force_count, brute_force_solutions,
+                     ce_cells, edge_ok, fe_cells, naive_structural_partition,
+                     nc_cells, verify_mapping)
 
 TOY_REPRESENTATIVES = {Mode.NE: 18, Mode.TE: 9, Mode.WE: 10, Mode.TEWE: 6,
                        Mode.CE: 5, Mode.FE: 2, Mode.NC: 2}
@@ -153,52 +153,88 @@ class TestModeAgreement:
             assert reps[Mode.TEWE] <= reps[Mode.WE] <= reps[Mode.NE]
 
 
+def per_arc_rows(w, req, out):
+    """Per world vertex ``c``, the bitset of the neighbours ``c2`` whose arc
+    ``c -> c2`` (``c2 -> c`` when not ``out``) dominates ``req``."""
+    n = w.vertex_count
+    return [sum(1 << c2 for c2 in range(n)
+                if edge_ok(w.edge(c, c2) if out else w.edge(c2, c), req))
+            for c in range(n)]
+
+
+def listed_rows(t, tnbrs, u, u2, symmetric):
+    """The ``(rows, requirement, out)`` triples that ``tnbrs[u]`` must list
+    for ``u2``: the out-row of ``u -> u2``, then the in-row of ``u2 -> u``,
+    for each arc that exists. In a symmetric world, when both arcs exist
+    with one tuple, one view serves both and is listed once."""
+    want = [(req, out) for req, out in ((t.edge(u, u2), True),
+                                        (t.edge(u2, u), False))
+            if req is not None]
+    listed = [rows for v, rows in tnbrs[u] if v == u2]
+    if symmetric and len(want) == 2 and want[0][0] == want[1][0]:
+        assert len(listed) == 1, (u, u2)
+        listed *= 2
+    assert len(listed) == len(want), (u, u2)
+    return [(rows, req, out) for rows, (req, out) in zip(listed, want)]
+
+
 class TestSupportRows:
     def test_rows_match_per_arc_support(self, rng, monkeypatch):
-        # Each row is a _Rows view of one mask in its direction's _Masks
-        # entry, which one read of c's arcs fills for every requirement; it
-        # must still hold exactly the neighbours whose arc dominates its
-        # requirement, memoised, rebuilt or set in the byte buffer.
-        for i in range(20):
+        # Each row is a _Rows view of one mask in a _Masks entry, which one
+        # read of c's arcs fills for every requirement; it must still hold
+        # exactly the neighbours whose arc dominates its requirement,
+        # memoised, rebuilt or set in the byte buffer. Every template arc
+        # is covered from both of its ends. A symmetric world has one
+        # table, so an out-row and an in-row of one tuple are one view.
+        shared = separate = 0
+        for i in range(30):
+            # Directed in a directed world, undirected in an undirected
+            # one, and directed in an undirected world left unplanted.
+            tdirected, wdirected = i % 3 != 1, i % 3 == 0
             t = random_multiplex_graph(rng, rng.randint(3, 5), 3, 0.35,
                                        max_multiplicity=2, self_loops=True,
-                                       directed=i % 2 == 0)
+                                       directed=tdirected)
             w = random_multiplex_graph(rng, rng.randint(8, 12), 3, 0.35,
                                        max_multiplicity=3, self_loops=True,
-                                       directed=i % 2 == 0)
-            plant(rng, t, w)
+                                       directed=wdirected)
+            if i % 3 != 2:
+                plant(rng, t, w)
             assert len({e for arcs in w.out for e in arcs.values()}) >= 3
-            n = w.vertex_count
+            n, nt = w.vertex_count, t.vertex_count
+            symmetric = all(w.edge(c2, c) == e for c in range(n)
+                            for c2, e in w.out[c].items())
+            assert symmetric == (not wdirected), i
             for budget in (search._ROW_BYTES, 0, 600):
                 monkeypatch.setattr(search, "_ROW_BYTES", budget)
                 tnbrs, tself = _support_masks(t, w)
-                # Each arc u -> u2 (u != u2) is listed once as an out-row
-                # of u and once as an in-row of u2, grouped by neighbour.
-                checks, listed = [], Counter()
+                checks = []
                 for u, nbrs in enumerate(tnbrs):
                     assert [u2 for u2, _ in nbrs] == sorted(
                         u2 for u2, _ in nbrs), (i, budget)
-                    for u2, rows in nbrs:
-                        assert rows is not None and u2 != u, (i, budget)
-                        out = rows.masks.adj is w.out
-                        arc = (u, u2) if out else (u2, u)
-                        listed[arc, out] += 1
-                        checks.append((rows, t.edge(*arc), out))
-                assert listed == Counter({((u, u2), out): 1
-                                          for u in range(t.vertex_count)
-                                          for u2 in t.out[u] if u2 != u
-                                          for out in (True, False)}), i
-                checks += [(rows, t.edge(u, u), out)
-                           for u, pair in enumerate(tself)
-                           for rows, out in zip(pair, (True, False))]
+                    assert len(set(nbrs)) == len(nbrs), (i, budget)
+                    assert all(rows is not None and u2 != u
+                               for u2, rows in nbrs), (i, budget)
+                    views = 0
+                    for u2 in range(nt):
+                        if u2 != u:
+                            pairs = listed_rows(t, tnbrs, u, u2, symmetric)
+                            distinct = len({id(rows) for rows, _, _ in pairs})
+                            views += distinct
+                            shared += distinct < len(pairs)
+                            checks += pairs
+                    assert len(nbrs) == views, (i, budget)
+                    out, inn = tself[u]
+                    if out is not None:
+                        assert (out is inn) == symmetric, (i, budget)
+                    checks += [(out, t.edge(u, u), True),
+                               (inn, t.edge(u, u), False)]
+                separate += sum(rows.masks.adj is w.inn
+                                for rows, _, _ in checks if rows is not None)
                 for rows, req, out in checks:
                     if rows is None:
                         assert req is None
                         continue
-                    want = [sum(1 << c2 for c2 in range(n)
-                                if edge_ok(w.edge(c, c2) if out
-                                           else w.edge(c2, c), req))
-                            for c in range(n)]
+                    want = per_arc_rows(w, req, out)
                     for c in range(n):
                         assert rows.union([c]) == want[c], (i, budget)
                         assert rows[c] == want[c], (i, budget)
@@ -207,7 +243,32 @@ class TestSupportRows:
                     for c in cs:
                         expect |= want[c]
                     assert rows.union(cs) == expect, (i, budget)
+        assert shared >= 30 and separate >= 30
 
+    @pytest.mark.parametrize("reverse", ["other tuple", "missing"])
+    def test_views_stay_separate_in_an_asymmetric_world(self, reverse):
+        # An undirected template edge in a world that is symmetric but for
+        # the arc 3 -> 0: its reverse carries another tuple, or is missing.
+        # The out- and in-rows of vertex 3 then differ, so each direction
+        # keeps its own view, filled from its own table.
+        t = MultiplexGraph(2, 2)
+        t.add_edge(0, 1, 1)
+        t.add_edge(1, 0, 1)
+        w = MultiplexGraph(4, 2)
+        for a, b in ((0, 1), (1, 2), (2, 3)):
+            w.add_edge(a, b, 1)
+            w.add_edge(b, a, 1)
+        w.add_edge(3, 0, 1)
+        if reverse == "other tuple":
+            w.add_edge(0, 3, 2)
+        tnbrs, _ = _support_masks(t, w)
+        for u, u2 in ((0, 1), (1, 0)):
+            (v, out), (v2, inn) = tnbrs[u]
+            assert v == v2 == u2 and out is not inn
+            assert out.masks.adj is w.out and inn.masks.adj is w.inn
+            assert [out[c] for c in range(4)] == per_arc_rows(w, (1, 0), True)
+            assert [inn[c] for c in range(4)] == per_arc_rows(w, (1, 0), False)
+            assert out[3] != inn[3]
 
     def test_union_switches_to_buffer_where_budget_runs_out(
             self, monkeypatch):
@@ -351,9 +412,86 @@ class TestPropagate:
         _propagate(tnbrs, jc, [0], matched={0: 0, 2: 2})
         assert decoded == [1 << 0] and jc == [1 << 0, 1 << 1, 1 << 2]
 
+    def test_closure_matches_set_reference(self, rng):
+        # The closure is unique, so any pop order reaches the set-based
+        # reference's domains: from every vertex at the root, and from a
+        # few narrowed vertices below it, each ``changed`` shuffled. The
+        # problems are directed and undirected (whose worlds have one
+        # support table), with one channel or several.
+        compared = narrowed = 0
+        for i in range(90):
+            p = random_problem(rng, template_size=(3, 6),
+                               world_size=(8, 24),
+                               channels=(1,) if i % 3 else (2, 3),
+                               edge_prob=rng.choice((0.15, 0.3)),
+                               planted=i % 4 != 3, self_loops=i % 5 == 0,
+                               directed=i % 2 == 0)
+            nt = p.template.vertex_count
+            tnbrs = _support_masks(p.template, p.world)[0]
+            csets = init_candidates(p)
+            jc, order = _domains(csets), list(range(nt))
+            rng.shuffle(order)
+            _propagate(tnbrs, jc, order)
+            want = arc_consistent(p, csets)
+            assert [set(_bits(d)) for d in jc] == want, i
+            compared += 1
+            if not all(want):
+                continue
+            for _ in range(3):
+                below, cut = list(jc), rng.sample(order, rng.randint(1, 2))
+                for u in cut:
+                    keep = rng.sample(sorted(want[u]),
+                                      rng.randint(1, len(want[u])))
+                    below[u] = sum(1 << c for c in keep)
+                start = [set(_bits(d)) for d in below]
+                _propagate(tnbrs, below, cut)
+                assert [set(_bits(d)) for d in below] == arc_consistent(
+                    p, start), i
+                narrowed += 1
+        assert compared == 90 and narrowed >= 150
+
+    def test_apply_filters_matches_set_reference(self, rng):
+        # A match fixed by hand (a prefix of a solution, or drawn at
+        # random), then the reference closure, then the used images taken
+        # from the unmatched domains.
+        checked = 0
+        for i in range(90):
+            p = random_problem(rng, template_size=(3, 6),
+                               world_size=(8, 16),
+                               channels=(1,) if i % 3 else (2, 3),
+                               self_loops=i % 5 == 0, directed=i % 2 == 0)
+            nt, nw = p.template.vertex_count, p.world.vertex_count
+            csets = init_candidates(p)
+            matched = rng.sample(range(nt), rng.randint(0, nt - 1))
+            match = list(zip(matched, rng.sample(range(nw), len(matched))))
+            found = solve(p, Mode.NE, max_solutions=1)[1]
+            if i % 2 and found:
+                match = [(u, found[0].mapping()[u]) for u in matched]
+            start = [set(cs) for cs in csets]
+            for u, c in match:
+                start[u] = {c}
+            used = {c for _, c in match}
+            want = [d if u in matched else d - used
+                    for u, d in enumerate(arc_consistent(p, start))]
+            assert apply_filters(match, csets, p) == want, i
+            checked += all(want) and bool(match)
+        assert checked >= 30
+
+    def test_long_path_root_closes_narrowest_first(self):
+        # An unlabelled path in itself: each end narrows its neighbour by
+        # one value per revision. Popping the narrowest domain first runs
+        # those waves from the ends; last-in first out re-unions
+        # world-wide domains and takes over 30 s here.
+        path = Graph(1000)
+        for v in range(999):
+            path.add_edge(v, v + 1)
+        report, _ = solve(Problem(path, path), Mode.NE, timeout=10,
+                          collect=False)
+        assert (report.status, report.total) == ("completed", 1)
+
     def test_static_modes_read_rows_like_ne(self, monkeypatch):
-        # After the sibling prune a child pops its branching vertex before
-        # its template siblings, so TE and TEWE union about as many rows
+        # After the sibling prune a child pops its branching vertex, whose
+        # domain is one image, before its template siblings, so TE and TEWE union about as many rows
         # as NE; popping a sibling first reads 17-129x NE's here.
         rng = random.Random(1000)
         world = Graph(1000)
@@ -733,8 +871,8 @@ class TestLimits:
 
     def test_timeout_inside_one_node(self):
         # The root's arc consistency on a long path is one expensive node.
-        path = Graph(400)
-        for v in range(399):
+        path = Graph(3000)
+        for v in range(2999):
             path.add_edge(v, v + 1)
         start = time.monotonic()
         report, _ = solve(Problem(path, path), Mode.NE, timeout=0.5,
@@ -744,8 +882,8 @@ class TestLimits:
 
     def test_timeout_before_first_node(self):
         # The unary tests run once per profile: a path has three.
-        path = Graph(2000)
-        for v in range(1999):
+        path = Graph(4000)
+        for v in range(3999):
             path.add_edge(v, v + 1)
         start = time.monotonic()
         report, _ = solve(Problem(path, path), Mode.NE, timeout=1,
