@@ -8,16 +8,19 @@ answers the same equivalence queries implicitly from adjacency.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
+from itertools import chain, repeat
 from operator import ge, itemgetter
 
 from .graphs import Graph, MultiplexGraph, Problem, dominates
-from .equivalence import structurally_equivalent
+from .equivalence import _CHECK_EVERY, DeadlineExceeded, structurally_equivalent
 
 MatchPairs = list[tuple[int, int]]
 
 
-def init_candidates(problem: Problem) -> list[frozenset[int]]:
+def init_candidates(problem: Problem,
+                    deadline: float | None = None) -> list[frozenset[int]]:
     """Initial candidate sets by the unary tests: label, degree, self-loop.
 
     Sound prefilter: a world vertex survives for template vertex ``u`` only
@@ -25,48 +28,57 @@ def init_candidates(problem: Problem) -> list[frozenset[int]]:
     out-degree in every channel (counting multiplicity), and has a self-loop
     dominating u's when u has one. The search tests only the other edges. An
     empty set is a legal result and signals unsatisfiability downstream.
-    The tests run once per distinct (label, degrees, self-loop) profile,
-    over the world vertices carrying that label, and template vertices of
-    one profile share one immutable set. A zero requirement always holds,
-    so degrees are summed only over the channels where the template has an
-    arc: each vertex keeps one degree tuple over those channels, compared
-    with a profile's in C by ``all(map(operator.ge, ...))``, and set-up
-    grows with the template's channels, not the world's. The degree test
-    runs first, since it needs no edge lookup.
+    A zero requirement always holds, so degrees are summed only over the
+    channels where the template has an arc, one column per (direction,
+    channel) summed by ``map`` in C, and set-up grows with the template's
+    channels, not the world's. One pass groups the world vertices by
+    (label, self-loop, degree tuple). The tests then run once per distinct
+    (label, degrees, self-loop) profile of the template and, for it, once
+    per group (of its label, when it has one), comparing degree tuples in
+    C by ``all(map(operator.ge, ...))``; the groups that pass make up the
+    profile's one immutable set, which its template vertices share.
+    Given a ``deadline`` (a ``time.monotonic()`` value), the grouping pass
+    checks it every few hundred world vertices and each profile checks it
+    once, raising :class:`DeadlineExceeded` once it has passed.
     """
     t, w = problem.template, problem.world
     # Channel 0 stands in for an arcless template, whose degrees are zero.
     chans = sorted({i for arcs in t.out for e in arcs.values()
                     for i, m in enumerate(e) if m}) or [0]
-    zero = (0,) * len(chans)
-    # On every channel the arc tuples are summed as they are; on fewer,
-    # each is cut to them (itemgetter of one index returns the item, and
-    # a slice keeps a tuple).
-    pick = (None if len(chans) == t.channels
-            else itemgetter(*chans) if len(chans) > 1
-            else itemgetter(slice(chans[0], chans[0] + 1)))
 
-    def degrees(g: MultiplexGraph, v: int) -> tuple[int, ...]:
-        ins, outs = g.inn[v].values(), g.out[v].values()
-        if pick is not None:
-            ins, outs = map(pick, ins), map(pick, outs)
-        return (*map(sum, zip(zero, *ins)), *map(sum, zip(zero, *outs)))
+    def degrees(g: MultiplexGraph):
+        """Each vertex's in-degrees over ``chans``, then its out-degrees."""
+        return zip(*[list(map(sum, map(map, repeat(itemgetter(i)),
+                                       map(dict.values, adj))))
+                     for adj in (g.inn, g.out) for i in chans])
 
-    wdegs = [degrees(w, c) for c in range(w.vertex_count)]
-    by_label: dict[str | None, list[int]] = {}
-    for c in range(w.vertex_count):
-        by_label.setdefault(w.label(c), []).append(c)
+    def check() -> None:
+        if deadline is not None and time.monotonic() >= deadline:
+            raise DeadlineExceeded
+
+    n = w.vertex_count
+    groups: dict[tuple, list[int]] = {}
+    keys = zip(w.labels or repeat(None), map(dict.get, w.out, range(n)),
+               degrees(w))
+    for start in range(0, n, _CHECK_EVERY):
+        check()
+        for c, key in zip(range(start, start + _CHECK_EVERY), keys):
+            groups.setdefault(key, []).append(c)
+    by_label: dict[str | None, list[tuple]] = {}
+    for key in groups:
+        by_label.setdefault(key[0], []).append(key)
     by_profile: dict[tuple, frozenset[int]] = {}
     csets: list[frozenset[int]] = []
-    for u in range(t.vertex_count):
-        profile = (t.label(u), degrees(t, u), t.edge(u, u))
+    for u, tdeg in enumerate(degrees(t)):
+        profile = (t.label(u), tdeg, t.edge(u, u))
         if profile not in by_profile:
-            lbl, tdeg, selfreq = profile
-            pool = range(w.vertex_count) if lbl is None else by_label.get(lbl, ())
-            by_profile[profile] = frozenset(
-                c for c in pool
-                if all(map(ge, wdegs[c], tdeg))
-                and (selfreq is None or dominates(w.edge(c, c), selfreq)))
+            check()
+            lbl, _, selfreq = profile
+            by_profile[profile] = frozenset(chain.from_iterable(
+                groups[key]
+                for key in (groups if lbl is None else by_label.get(lbl, ()))
+                if all(map(ge, key[2], tdeg))
+                and (selfreq is None or dominates(key[1], selfreq))))
         csets.append(by_profile[profile])
     return csets
 

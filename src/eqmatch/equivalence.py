@@ -9,9 +9,11 @@ and (when present) their labels and self-loops agree.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
-from itertools import count
+from itertools import compress, count, repeat
 from math import factorial
+from operator import add, gt
 
 from .graphs import MultiplexGraph, Problem, is_subgraph_isomorphism
 
@@ -86,6 +88,18 @@ def _signature(g: MultiplexGraph, v: int):
             frozenset(inn.items()).difference(own))
 
 
+def _shared(keys: list[int]):
+    """The vertex lists of the values in ``keys`` (one per vertex) that two
+    or more vertices share: a ``Counter`` and the selection run in C, and
+    Python reaches only the vertices that share a value."""
+    counts = Counter(keys)
+    buckets: dict[int, list[int]] = {}
+    for v in compress(count(), map(gt, map(counts.__getitem__, keys),
+                                   repeat(1))):
+        buckets.setdefault(keys[v], []).append(v)
+    return buckets.values()
+
+
 def find_equivalence_classes(g: MultiplexGraph,
                              deadline: float | None = None) -> Partition:
     """Compute the maximal structural-equivalence partition of ``g``.
@@ -94,56 +108,77 @@ def find_equivalence_classes(g: MultiplexGraph,
     twins: equal neighbourhoods) or a clique of mutual arcs of one tuple
     (closed twins), never mixed: if ``v`` were equivalent to a non-neighbour
     ``w`` and to a neighbour ``x``, swapping ``v`` and ``x`` would move the
-    edge ``x``-``w`` onto ``v``-``w``. So a hash pass buckets the vertices
-    by the hash of :func:`_signature`, keeping only vertex lists, and the
-    exact signatures settle each bucket of two or more: every open-twin
-    class comes out whole, and no more than one bucket's signatures are
-    held at once. Then a scan in vertex order lets each vertex not yet
-    placed start its clique, whose other members are its out-neighbours
-    above it that are not yet placed, have the same out- and in-neighbour
-    counts (a swap maps one neighbourhood onto the other) and pass
-    :func:`structurally_equivalent`.
+    edge ``x``-``w`` onto ``v``-``w``. Each vertex gets cheap aggregates,
+    computed by ``map`` in C: its out- and in-neighbour counts and the sums
+    of its out- and in-neighbour ids, its own arc taken out when it has a
+    self-loop. Open twins share the open key (label, self-loop, counts,
+    sums); closed twins share the closed key, whose sums also hold the
+    vertex itself. Only the vertices whose key hash another vertex shares
+    get exact work: the exact signatures of :func:`_signature` settle each
+    open bucket, so every open-twin class comes out whole, and each closed
+    bucket is grouped by exact closed neighbourhood, then settled by
+    :func:`structurally_equivalent` against the first member of each
+    clique. No bucket's signatures outlive it.
     Given a ``deadline`` (a ``time.monotonic()`` value), the passes check
-    it every few hundred vertices and raise :class:`DeadlineExceeded` once
-    it has passed.
+    it between them and every few hundred vertices of exact work, and raise
+    :class:`DeadlineExceeded` once it has passed.
     """
-    visits = count()  # vertices visited by the three passes
+    visits = count()  # vertices given exact work
 
-    def check() -> None:
-        if (deadline is not None and next(visits) % _CHECK_EVERY == 0
-                and time.monotonic() >= deadline):
+    def check_now() -> None:
+        if deadline is not None and time.monotonic() >= deadline:
             raise DeadlineExceeded
 
-    n = g.vertex_count
-    buckets: dict[int, list[int]] = {}
-    for v in range(n):
-        check()
-        buckets.setdefault(hash(_signature(g, v)), []).append(v)
+    def check() -> None:
+        if next(visits) % _CHECK_EVERY == 0:
+            check_now()
+
+    n, out, inn = g.vertex_count, g.out, g.inn
+    labels = g.labels or repeat(None)
+    loops = list(map(dict.get, out, range(n)))
+    nout, nin = list(map(len, out)), list(map(len, inn))
+    sout, sin = list(map(sum, out)), list(map(sum, inn))  # sums of the keys
+    for v in compress(range(n), loops):  # a self-loop is no neighbour
+        nout[v] -= 1
+        nin[v] -= 1
+        sout[v] -= v
+        sin[v] -= v
     groups = []
-    for bucket in buckets.values():
-        if len(bucket) > 1:
-            by_sig: dict[object, list[int]] = {}
-            for v in bucket:
+    check_now()
+    for bucket in _shared(list(map(hash, zip(labels, loops, nout, nin,
+                                             sout, sin)))):
+        by_sig: dict[object, list[int]] = {}
+        for v in bucket:
+            check()
+            by_sig.setdefault(_signature(g, v), []).append(v)
+        groups += [grp for grp in by_sig.values() if len(grp) > 1]
+    check_now()
+    for bucket in _shared(list(map(hash, zip(
+            labels, loops, nout, nin, map(add, sout, range(n)),
+            map(add, sin, range(n)))))):
+        by_nbhd: dict[object, list[int]] = {}
+        for v in bucket:
+            check()
+            by_nbhd.setdefault((frozenset(out[v]).union((v,)),
+                                frozenset(inn[v]).union((v,))), []).append(v)
+        for nbhd in by_nbhd.values():
+            cliques: list[list[int]] = []
+            for v in nbhd:
                 check()
-                by_sig.setdefault(_signature(g, v), []).append(v)
-            groups += [grp for grp in by_sig.values() if len(grp) > 1]
-    del buckets
-    placed = [False] * n
+                for clique in cliques:
+                    if structurally_equivalent(g, clique[0], v):
+                        clique.append(v)
+                        break
+                else:
+                    cliques.append([v])
+            groups += [clique for clique in cliques if len(clique) > 1]
+    check_now()
+    del loops, nout, nin, sout, sin  # peak: aggregates or partition
+    placed = bytearray(n)
     for grp in groups:
         for v in grp:
-            placed[v] = True
-    out, inn = g.out, g.inn
-    for v in range(n):
-        check()
-        if placed[v]:
-            continue
-        nout, nin = len(out[v]), len(inn[v])
-        clique = [v] + [w for w in out[v] if w > v and not placed[w]
-                        and len(out[w]) == nout and len(inn[w]) == nin
-                        and structurally_equivalent(g, v, w)]
-        for w in clique:
-            placed[w] = True
-        groups.append(clique)
+            placed[v] = 1
+    groups += ([v] for v in range(n) if not placed[v])
     return Partition.from_groups(groups, n)
 
 

@@ -316,10 +316,14 @@ def parse_multiplex_edgelist(text: str) -> MultiplexGraph:
             raise ParseError(lineno, "expected 'src dst channel multiplicity'")
         raise toks.stop("'src dst channel multiplicity'")
     g = MultiplexGraph(n, channels=k)
-    ids = list(range(n))  # one key object per vertex, not per token
-    g._add_arcs(zip(map(ids.__getitem__, edges[0::4]),
-                    map(ids.__getitem__, edges[1::4]), edges[2::4],
-                    edges[3::4]))
+    src, dst = edges[0::4], edges[1::4]
+    # One key object per vertex, not per token: CPython already shares the
+    # ints up to 256, and a vertex count above the endpoint tokens would
+    # cost more ints than the tokens it saves.
+    if 256 < n <= len(edges) // 2:
+        ids = list(range(n))
+        src, dst = map(ids.__getitem__, src), map(ids.__getitem__, dst)
+    g._add_arcs(zip(src, dst, edges[2::4], edges[3::4]))
     if sum(map(len, g.out)) < len(edges) // 4:
         g._prune_types()  # some arc summed several quads
     return g

@@ -70,7 +70,8 @@ directions. The entry is built from one read of c's arcs, and
 ``dominates`` is called once per (edge tuple, requirement). A ``_Rows``
 view picks one requirement's mask from a memo.
 A revision of ``y`` against a popped ``x`` ANDs ``jc[y]`` with the OR of
-the masks of x's candidates (one mask when ``x`` is matched), a cell is
+the masks of x's candidates (the one candidate's mask, read with no
+decode, when ``x`` has one, as every matched vertex has), a cell is
 refined by the key ``out[c] & jc[u2]`` of one row at a time, and a child's
 domain list shares every int of its parent's except the branching
 vertex's, which becomes ``1 << image``.
@@ -378,7 +379,9 @@ def _propagate(tnbrs, jc: list[int], changed,
     candidates (one mask when ``x`` is matched). A neighbour that loses
     candidates is queued again with its new size. Out- and in-support are
     independent: each may come from a different candidate of ``x``.
-    The candidates of ``x`` are decoded only when it has a neighbour to
+    When ``x`` has one candidate ``c`` (every matched vertex has), each
+    neighbour is ANDed with its row at ``c``, with no decode and no union.
+    Wider candidates of ``x`` are decoded only when it has a neighbour to
     revise, so a vertex whose neighbours are all matched costs one pop.
 
     The vertices in ``matched`` are never revised. When ``y`` was matched
@@ -394,16 +397,23 @@ def _propagate(tnbrs, jc: list[int], changed,
             raise DeadlineExceeded
         x = min(queue, key=queue.__getitem__)
         del queue[x]
+        d = jc[x]
+        # The one candidate of x; an empty domain takes the union path.
+        one = d.bit_length() - 1 if d and not d & (d - 1) else None
         xbits = None  # x's candidates, decoded for its first unmatched y
         unions = {}  # one OR per row view: neighbours often share views
         for y, rows in tnbrs[x]:
             if y in matched:
                 continue
-            if xbits is None:
-                xbits = _bits(jc[x])
-            if rows not in unions:
-                unions[rows] = rows.union(xbits, deadline)
-            keep = jc[y] & unions[rows]
+            if one is not None:
+                support = rows.masks[one][rows.i]
+            else:
+                if xbits is None:
+                    xbits = _bits(d)
+                if rows not in unions:
+                    unions[rows] = rows.union(xbits, deadline)
+                support = unions[rows]
+            keep = jc[y] & support
             if keep != jc[y]:
                 jc[y] = keep
                 queue[y] = keep.bit_count()
@@ -686,7 +696,8 @@ def solve(problem: Problem, mode: Mode | str, timeout: float = 600.0,
     try:
         searcher = _Searcher(problem, Mode(mode), start + timeout)
         if nt <= problem.world.vertex_count:
-            for sc in searcher._classes(_domains(init_candidates(problem))):
+            for sc in searcher._classes(_domains(
+                    init_candidates(problem, deadline=searcher.deadline))):
                 representatives += 1
                 total += sc.count
                 if on_class is not None:

@@ -58,6 +58,19 @@ def star_problem(template_leaves: int, world_leaves: int) -> Problem:
     return Problem(t, w)
 
 
+def caterpillar(spine: int) -> Graph:
+    """Undirected path of ``spine`` vertices ``0..spine-1`` whose vertex
+    ``i`` carries ``i`` leaves, numbered from ``spine`` on."""
+    n = spine + spine * (spine - 1) // 2
+    leaves = iter(range(spine, n))
+    g = Graph(n)
+    for a, b in ([(i, i + 1) for i in range(spine - 1)]
+                 + [(i, next(leaves)) for i in range(spine) for _ in range(i)]):
+        g.add_edge(a, b)
+        g.add_edge(b, a)
+    return g
+
+
 def huge_count_problem() -> Problem:
     """45-leaf star in a 60-leaf star: 60!/15! > 10^50 isomorphisms."""
     return star_problem(45, 60)
@@ -103,6 +116,48 @@ def sparse_multiplex_graph(rng: random.Random, n: int, edge_count: int,
         g.add_edge(a, b, ch)
         g.add_edge(b, a, ch)
     return g
+
+
+def plant_twins(rng: random.Random, g: MultiplexGraph, share: float = 0.1,
+                most: int = 3) -> MultiplexGraph:
+    """``g`` with a random ``share`` of its vertices each replaced by 2 to
+    ``most`` structurally equivalent copies, the ids shuffled.
+
+    The copies of a vertex keep its label and self-loop, and every arc
+    between two vertices joins each copy of one to each copy of the other.
+    By a coin flip per vertex, its copies are open twins (pairwise
+    non-adjacent) or closed twins (a clique of mutual arcs of one random
+    tuple)."""
+    sizes = [rng.randint(2, most) if rng.random() < share else 1
+             for _ in range(g.vertex_count)]
+    ids = iter(rng.sample(range(sum(sizes)), sum(sizes)))
+    copies = [[next(ids) for _ in range(size)] for size in sizes]
+    labels = None
+    if g.labels is not None:
+        labels = [None] * sum(sizes)
+        for v, cs in enumerate(copies):
+            for c in cs:
+                labels[c] = g.labels[v]
+    h = MultiplexGraph(sum(sizes), g.channels, labels)
+
+    def join(a: int, b: int, mult: tuple[int, ...]) -> None:
+        for ch, m in enumerate(mult, start=1):
+            if m:
+                h.add_edge(a, b, ch, m)
+
+    for v, cs in enumerate(copies):
+        for w, mult in g.out[v].items():
+            for a in cs:
+                for b in ((a,) if w == v else copies[w]):
+                    join(a, b, mult)
+        if len(cs) > 1 and rng.random() < 0.5:
+            tie = [rng.randint(0, 2) for _ in range(g.channels)]
+            tie[rng.randrange(g.channels)] = rng.randint(1, 2)
+            for a in cs:
+                for b in cs:
+                    if a != b:
+                        join(a, b, tuple(tie))
+    return h
 
 
 def random_problem(rng: random.Random,

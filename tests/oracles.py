@@ -9,7 +9,9 @@ labels, which the caller supplies), a per-arc rule for the
 solution-induced subgraph of a class, a reference class expander whose
 map order the engine's must keep, a per-arc isomorphism checker,
 an interchange count that treats singleton classes like any other,
-the unary tests (label, degrees, self-loop) read one arc at a time, an
+the unary tests (label, degrees, self-loop) read one arc at a time and
+again per world vertex as ``init_candidates`` once ran them, the world
+partition by the exact-signature pass and clique scan it once used, an
 arc-consistent closure over sets, swept one template arc at a time, and
 reference LAD and multiplex parsers that read one token (or one line) at
 a time and insert each arc through ``add_edge``.
@@ -102,6 +104,36 @@ def unary_candidates(problem: Problem) -> list[set[int]]:
                      for (wi, wo), (ti, to) in zip(wdeg[c], tdeg[u]))
              and edge_ok(w.edge(c, c), t.edge(u, u))}
             for u in range(t.vertex_count)]
+
+
+def candidates_per_vertex(problem: Problem) -> list[frozenset[int]]:
+    """The unary tests as ``init_candidates`` ran them before it grouped
+    the world: one degree tuple per world vertex, over the channels where
+    the template has an arc, then per distinct (label, degrees, self-loop)
+    profile of the template a test of every world vertex of its label.
+    Template vertices of one profile share one set."""
+    t, w = problem.template, problem.world
+    chans = sorted({i for arcs in t.out for e in arcs.values()
+                    for i, m in enumerate(e) if m}) or [0]
+
+    def degrees(g: MultiplexGraph, v: int) -> tuple[int, ...]:
+        return (*(sum(e[i] for e in g.inn[v].values()) for i in chans),
+                *(sum(e[i] for e in g.out[v].values()) for i in chans))
+
+    wdegs = [degrees(w, c) for c in range(w.vertex_count)]
+    by_profile: dict[tuple, frozenset[int]] = {}
+    csets = []
+    for u in range(t.vertex_count):
+        profile = (t.label(u), degrees(t, u), t.edge(u, u))
+        if profile not in by_profile:
+            lbl, tdeg, selfreq = profile
+            by_profile[profile] = frozenset(
+                c for c in range(w.vertex_count)
+                if (lbl is None or w.label(c) == lbl)
+                and all(a >= b for a, b in zip(wdegs[c], tdeg))
+                and (selfreq is None or edge_ok(w.edge(c, c), selfreq)))
+        csets.append(by_profile[profile])
+    return csets
 
 
 def arc_consistent(problem: Problem, domains: list[set[int]]
@@ -225,6 +257,46 @@ def naive_structural_partition(g: MultiplexGraph) -> list[list[int]]:
         else:
             groups.append([v])
     return groups
+
+
+def partition_three_pass(g: MultiplexGraph) -> list[tuple[int, ...]]:
+    """The classes of the world partition as ``find_equivalence_classes``
+    found them before it keyed vertices by aggregates, sorted by smallest
+    member: a pass that groups the vertices by their exact open signature
+    (label, self-loop, out-arcs and in-arcs without it), then a scan in
+    vertex order that starts a clique at each vertex not yet placed, whose
+    other members are its higher out-neighbours not yet placed with equal
+    neighbour counts that pass the swap test."""
+    out, inn = g.out, g.inn
+
+    def signature(v: int):
+        own = {(v, out[v][v])} if v in out[v] else set()
+        return (g.label(v), out[v].get(v), frozenset(out[v].items()) - own,
+                frozenset(inn[v].items()) - own)
+
+    def swappable(v: int, w: int) -> bool:
+        pair = {v, w}
+        return (g.label(v) == g.label(w)
+                and out[v].get(v) == out[w].get(w)
+                and out[v].get(w) == out[w].get(v)
+                and {u for u, _ in out[v].items() ^ out[w].items()} <= pair
+                and {u for u, _ in inn[v].items() ^ inn[w].items()} <= pair)
+
+    n = g.vertex_count
+    by_sig: dict[object, list[int]] = {}
+    for v in range(n):
+        by_sig.setdefault(signature(v), []).append(v)
+    groups = [grp for grp in by_sig.values() if len(grp) > 1]
+    placed = {v for grp in groups for v in grp}
+    for v in range(n):
+        if v in placed:
+            continue
+        clique = [v] + [w for w in out[v] if w > v and w not in placed
+                        and len(out[w]) == len(out[v])
+                        and len(inn[w]) == len(inn[v]) and swappable(v, w)]
+        placed.update(clique)
+        groups.append(clique)
+    return sorted(tuple(sorted(grp)) for grp in groups)
 
 
 def orbit_count(problem: Problem, mapping: dict[int, int],

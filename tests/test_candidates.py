@@ -1,5 +1,6 @@
 """Candidate sets, the pair-node candidate structure, and node covers."""
 
+import copy
 import random
 import time
 
@@ -10,10 +11,19 @@ from eqmatch.candidates import (build_candidate_structure, greedy_node_cover,
                                 node_cover_equivalent)
 from eqmatch.graphs import Graph, MultiplexGraph, Problem, degree_vector
 from eqmatch.search import apply_filters
-from eqmatch.synth import (cover_problem, plant, random_multiplex_graph,
-                           sparse_multiplex_graph, toy_problem)
+from eqmatch.synth import (caterpillar, cover_problem, plant,
+                           random_multiplex_graph, sparse_multiplex_graph,
+                           toy_problem)
 
-from oracles import degrees_per_arc, unary_candidates
+from oracles import candidates_per_vertex, degrees_per_arc, unary_candidates
+
+
+def same_sets(got, want) -> bool:
+    """Equal sets, and template vertices share one set object exactly
+    where the reference's do."""
+    return got == want and all((a is b) == (c is d)
+                               for a, c in zip(got, want)
+                               for b, d in zip(got, want))
 
 
 def labelled_multiplex(rng, n, channels, isolated, labels):
@@ -97,8 +107,31 @@ class TestInitCandidates:
             problem = Problem(t, w)
             got = init_candidates(problem)
             assert [set(cs) for cs in got] == unary_candidates(problem), i
+            assert same_sets(got, candidates_per_vertex(problem)), i
             nonempty += all(got)
         assert nonempty >= 30 and isolated_seen >= 100
+
+    def test_matches_reference_on_twin_world(self, twin_world):
+        # The grouped tests against the per-vertex ones in a world of
+        # twins and self-loops, unlabelled and with three labels, for
+        # templates with labels and self-loops, with many degree profiles,
+        # and with no arc.
+        looped = Graph(3, labels=["a", None, "b"])
+        for a, b in ((0, 1), (1, 2), (0, 2)):
+            looped.add_edge(a, b)
+            looped.add_edge(b, a)
+        looped.add_edge(0, 0)
+        looped.add_edge(1, 1)
+        labelled = copy.copy(twin_world)
+        labelled.labels = [("a", "b", "c")[v % 3]
+                           for v in range(twin_world.vertex_count)]
+        for w in (twin_world, labelled):
+            for t in (caterpillar(8), looped, Graph(2)):
+                problem = Problem(t, w)
+                got = init_candidates(problem)
+                assert same_sets(got, candidates_per_vertex(problem))
+                # An unlabelled world has no image for a labelled vertex.
+                assert all(got) == (w is labelled or t is not looped)
 
 
 class TestChannelCount:

@@ -10,10 +10,12 @@ from eqmatch.equivalence import (Partition, count_factorial_lower_bound,
                                  count_tewe, find_equivalence_classes,
                                  interchange_count, structurally_equivalent)
 from eqmatch.graphs import Graph, MultiplexGraph, Problem
-from eqmatch.synth import random_multiplex_graph, random_problem, toy_problem
+from eqmatch.synth import (plant_twins, random_multiplex_graph,
+                           random_problem, toy_problem)
 
 from oracles import (brute_force_solutions, interchange_reference,
-                     naive_structural_partition, orbit_count)
+                     naive_structural_partition, orbit_count,
+                     partition_three_pass)
 
 
 def undirected(n, pairs):
@@ -43,6 +45,35 @@ def multiplex_clique_with_apex():
                 g.add_edge(a, b, channel, mult)
                 g.add_edge(b, a, channel, mult)
     return g
+
+
+def colliding_keys(rng, closed):
+    """Key collisions that are not twins: members that each have two
+    private neighbours whose ids sum to one constant, pairwise joined when
+    ``closed``, so that they share a closed key (open key otherwise); a
+    random graph joins the other vertices, mutual or one-way."""
+    n = rng.randint(10, 30)
+    pairs = [(x, n - 1 - x) for x in range(n // 2)]
+    rng.shuffle(pairs)
+    k = rng.randint(2, len(pairs) // 2)
+    members = [rng.choice(pair) for pair in pairs[:k]]
+    g = Graph(n, labels=[rng.choice([None, "a"]) if v not in members
+                         else "m" for v in range(n)])
+    for m, pair in zip(members, pairs[k:]):
+        for x in pair:
+            g.add_edge(m, x)
+            g.add_edge(x, m)
+    for a in members:
+        for b in members:
+            if closed and a != b:
+                g.add_edge(a, b)
+    others = [v for v in range(n) if v not in members]
+    for _ in range(n):
+        a, b = rng.sample(others, 2)
+        g.add_edge(a, b)
+        if rng.random() < 0.5:
+            g.add_edge(b, a)
+    return g, members
 
 
 def mutual_pair(forward, backward):
@@ -123,17 +154,40 @@ class TestFindEquivalenceClasses:
         assert p.class_of[0] != p.class_of[3]  # hubs differ
 
     def test_matches_naive_oracle_randomized(self, rng):
-        for _ in range(120):
+        # Plain random graphs, then planted open and closed twins (labels,
+        # self-loops, multiplex tuples, one-way arcs, and one extra arc
+        # that may break a twin pair), then key collisions that are not
+        # twins; each against the definition and the earlier three passes.
+        twins = collided = 0
+        for i in range(360):
             n = rng.randint(1, 40)
-            g = random_multiplex_graph(
-                rng, n, rng.choice([1, 2]),
-                edge_prob=rng.choice([0.03, 0.1, 0.3]),
-                self_loops=rng.random() < 0.3,
-                directed=rng.random() < 0.5)
+            if i < 240:
+                g = random_multiplex_graph(
+                    rng, n if i < 120 else (n + 2) // 3, rng.choice([1, 2]),
+                    edge_prob=rng.choice([0.03, 0.1, 0.3]),
+                    self_loops=rng.random() < 0.3,
+                    directed=rng.random() < 0.5)
+            else:
+                g, members = colliding_keys(rng, closed=i % 2 == 0)
+            if 120 <= i < 240:
+                if rng.random() < 0.7:
+                    g.labels = [rng.choice("ab") for _ in range(g.vertex_count)]
+                g = plant_twins(rng, g, share=0.5)
+                if g.vertex_count > 1 and rng.random() < 0.3:
+                    a, b = rng.sample(range(g.vertex_count), 2)
+                    g.add_edge(a, b)
             got = sorted(tuple(c) for c in find_equivalence_classes(g).classes)
             want = sorted(tuple(sorted(grp))
                           for grp in naive_structural_partition(g))
-            assert got == want
+            assert got == want == partition_three_pass(g), i
+            twins += 120 <= i < 240 and any(len(c) > 1 for c in got)
+            collided += i >= 240 and all((m,) in got for m in members)
+        assert twins >= 100 and collided == 120
+
+    def test_matches_reference_on_twin_world(self, twin_world):
+        got = find_equivalence_classes(twin_world).classes
+        assert list(got) == partition_three_pass(twin_world)
+        assert sum(len(c) > 1 for c in got) > 1900
 
     def test_empty_graph(self):
         assert find_equivalence_classes(Graph(0)).classes == ()
@@ -156,9 +210,10 @@ class TestFindEquivalenceClasses:
         assert peak - size < size / 2, (size, peak)
 
     # A class is pairwise non-adjacent (open twins, one signature) or a
-    # clique of mutual arcs of one tuple, scanned from its lowest member;
-    # adjacent pairs reach the pairwise test only with equal out- and
-    # in-neighbour counts.
+    # clique of mutual arcs of one tuple. Adjacent pairs reach the pairwise
+    # test only with equal closed keys (label, self-loop, neighbour counts,
+    # and neighbour-id sums that hold the vertex itself) and equal closed
+    # neighbourhoods; the last two cases share a key but not a neighbourhood.
     @pytest.mark.parametrize("graph, classes", [
         # K_6: every pair is adjacent, with equal counts.
         (undirected(6, [(a, b) for a in range(6) for b in range(a + 1, 6)]),
@@ -185,9 +240,16 @@ class TestFindEquivalenceClasses:
         (directed(3, [(0, 2), (2, 1)]), [(0,), (1,), (2,)]),
         # Both seen by 2, but their own tie runs one way.
         (directed(3, [(0, 1), (2, 0), (2, 1)]), [(0,), (1,), (2,)]),
+        # 0 and 1 see 2 + 5 and 3 + 4, joined or not: one key, two
+        # neighbourhoods.
+        (undirected(6, [(0, 1), (0, 2), (0, 5), (1, 3), (1, 4)]),
+         [(0,), (1,), (2, 5), (3, 4)]),
+        (undirected(6, [(0, 2), (0, 5), (1, 3), (1, 4)]),
+         [(0,), (1,), (2, 5), (3, 4)]),
     ], ids=["k6", "k6-pendant", "path-equal-counts", "mutual-unequal",
             "multiplex-clique-apex", "twins-and-clique", "twins-self-loop",
-            "clique-self-loop", "hub-tie-direction", "pair-tie-direction"])
+            "clique-self-loop", "hub-tie-direction", "pair-tie-direction",
+            "closed-key-collision", "open-key-collision"])
     def test_prefiltered_pairs(self, graph, classes):
         got = list(find_equivalence_classes(graph).classes)
         assert got == classes

@@ -21,8 +21,9 @@ from eqmatch.search import (ALL_MODES, Mode, Slot, SolutionClass, _bits,
                             expansion_count_of, next_template_vertex, solve)
 from eqmatch.candidates import (build_candidate_structure, greedy_node_cover,
                                 init_candidates)
-from eqmatch.synth import (cover_problem, huge_count_problem, plant,
-                           random_multiplex_graph, random_problem,
+from eqmatch.equivalence import _CHECK_EVERY, DeadlineExceeded
+from eqmatch.synth import (caterpillar, cover_problem, huge_count_problem,
+                           plant, random_multiplex_graph, random_problem,
                            sparse_multiplex_graph, star_problem, toy_problem)
 
 from oracles import (arc_consistent, brute_force_count, brute_force_solutions,
@@ -393,9 +394,12 @@ class TestPropagate:
         assert compared >= 200 and wiped >= 20
 
     def test_no_decode_when_every_neighbour_is_matched(self, monkeypatch):
-        # Directed paths 0 -> 1 -> 2 in 0 -> ... -> 4, with 0 and 2
-        # matched: popping 0 decodes its domain to revise 1; popping 1
-        # then has no neighbour to revise, so its domain is not decoded.
+        # Directed paths 0 -> 1 -> 2 in 0 -> ... -> 4. With 0 and 2
+        # matched, popping 1 has no neighbour to revise, and popping 0
+        # revises 1 by the row of 0's one candidate: neither domain is
+        # decoded. Unmatched, the arc-consistent domains of 0, 1 and 2 are
+        # unchanged by popping 1, whose three candidates are decoded once
+        # for both neighbours.
         t, w = Graph(3), Graph(5)
         for g in (t, w):
             for v in range(g.vertex_count - 1):
@@ -410,7 +414,10 @@ class TestPropagate:
         _propagate(tnbrs, jc, [1], matched={0: 0, 2: 2})
         assert decoded == [] and jc == [1 << 0, 0b11111, 1 << 2]
         _propagate(tnbrs, jc, [0], matched={0: 0, 2: 2})
-        assert decoded == [1 << 0] and jc == [1 << 0, 1 << 1, 1 << 2]
+        assert decoded == [] and jc == [1 << 0, 1 << 1, 1 << 2]
+        jc = [0b00111, 0b01110, 0b11100]
+        _propagate(tnbrs, jc, [1])
+        assert decoded == [0b01110] and jc == [0b00111, 0b01110, 0b11100]
 
     def test_closure_matches_set_reference(self, rng):
         # The closure is unique, so any pop order reaches the set-based
@@ -1057,6 +1064,26 @@ class TestDeadlineInLargeWorld:
         report, _ = solve(Problem(t, world), mode, timeout=1, collect=False)
         assert report.status == "timed_out"
         assert time.monotonic() - start <= 1.5
+
+    def test_many_profiles_return_within_half_a_second_of_timeout(self,
+                                                                   world):
+        # The caterpillar's 29 degree profiles are tested before the first
+        # node. When each tested every world vertex, the solve returned
+        # after 0.95-1.77 s.
+        start = time.monotonic()
+        report, _ = solve(Problem(caterpillar(30), world), Mode.NE,
+                          timeout=0.1, collect=False)
+        assert report.status == "timed_out"
+        assert time.monotonic() - start <= 0.6
+
+    def test_candidates_check_the_deadline(self, world):
+        # The grouping pass over the world checks it, before any profile.
+        edge = Graph(2)
+        edge.add_edge(0, 1)
+        assert world.vertex_count > _CHECK_EVERY
+        for t in (Graph(0), edge):
+            with pytest.raises(DeadlineExceeded):
+                init_candidates(Problem(t, world), deadline=time.monotonic())
 
 
 class TestWeighing:
