@@ -29,14 +29,14 @@ def init_candidates(problem: Problem,
     dominating u's when u has one. The search tests only the other edges. An
     empty set is a legal result and signals unsatisfiability downstream.
     A zero requirement always holds, so degrees are summed only over the
-    channels where the template has an arc, one column per (direction,
-    channel) summed by ``map`` in C, and set-up grows with the template's
-    channels, not the world's. One pass groups the world vertices by
-    (label, self-loop, degree tuple). The tests then run once per distinct
-    (label, degrees, self-loop) profile of the template and, for it, once
-    per group (of its label, when it has one), comparing degree tuples in
-    C by ``all(map(operator.ge, ...))``; the groups that pass make up the
-    profile's one immutable set, which its template vertices share.
+    channels where the template has an arc, by ``map`` in C, and set-up
+    grows with the template's channels, not the world's. One pass groups
+    the world vertices by (label, self-loop, degree tuple). The tests then
+    run once per distinct (label, degrees, self-loop) profile of the
+    template and, for it, once per group (of its label, when it has one),
+    comparing degree tuples in C by ``all(map(operator.ge, ...))``; the
+    groups that pass make up the profile's one immutable set, which its
+    template vertices share.
     Given a ``deadline`` (a ``time.monotonic()`` value), the grouping pass
     checks it every few hundred world vertices and each profile checks it
     once, raising :class:`DeadlineExceeded` once it has passed.
@@ -45,12 +45,28 @@ def init_candidates(problem: Problem,
     # Channel 0 stands in for an arcless template, whose degrees are zero.
     chans = sorted({i for arcs in t.out for e in arcs.values()
                     for i, m in enumerate(e) if m}) or [0]
+    # Degrees are summed in C, as a column per (direction, channel) or as
+    # a row per (direction, vertex) of the arc tuples cut to ``chans``. A
+    # column costs each vertex two C calls per channel, a row about six
+    # in all: columns win up to four channels and rows from five.
+    if len(chans) <= 4:
+        def degrees(g: MultiplexGraph):
+            """Each vertex's in-degrees over ``chans``, then its out-degrees."""
+            return zip(*[list(map(sum, map(map, repeat(itemgetter(i)),
+                                           map(dict.values, adj))))
+                         for adj in (g.inn, g.out) for i in chans])
+    else:
+        zero = (0,) * len(chans)
+        # On every channel the arc tuples are summed as they are.
+        pick = None if len(chans) == t.channels else itemgetter(*chans)
 
-    def degrees(g: MultiplexGraph):
-        """Each vertex's in-degrees over ``chans``, then its out-degrees."""
-        return zip(*[list(map(sum, map(map, repeat(itemgetter(i)),
-                                       map(dict.values, adj))))
-                     for adj in (g.inn, g.out) for i in chans])
+        def sums(arcs: dict) -> tuple[int, ...]:
+            cuts = arcs.values() if pick is None else map(pick, arcs.values())
+            return tuple(map(sum, zip(zero, *cuts)))
+
+        def degrees(g: MultiplexGraph):
+            """Each vertex's in-degrees over ``chans``, then its out-degrees."""
+            return map(tuple.__add__, map(sums, g.inn), map(sums, g.out))
 
     def check() -> None:
         if deadline is not None and time.monotonic() >= deadline:

@@ -380,7 +380,9 @@ def _propagate(tnbrs, jc: list[int], changed,
     candidates is queued again with its new size. Out- and in-support are
     independent: each may come from a different candidate of ``x``.
     When ``x`` has one candidate ``c`` (every matched vertex has), each
-    neighbour is ANDed with its row at ``c``, with no decode and no union.
+    neighbour is ANDed with its row at ``c``, with no decode: read from
+    its entry while memoised or the budget lasts, else by one ``union``
+    per row view, whose byte buffer builds no entry.
     Wider candidates of ``x`` are decoded only when it has a neighbour to
     revise, so a vertex whose neighbours are all matched costs one pop.
 
@@ -396,20 +398,22 @@ def _propagate(tnbrs, jc: list[int], changed,
         if deadline is not None and time.monotonic() >= deadline:
             raise DeadlineExceeded
         x = min(queue, key=queue.__getitem__)
-        del queue[x]
-        d = jc[x]
-        # The one candidate of x; an empty domain takes the union path.
-        one = d.bit_length() - 1 if d and not d & (d - 1) else None
-        xbits = None  # x's candidates, decoded for its first unmatched y
+        # The one candidate of x, from its domain size in the queue, with
+        # no operation as wide as the world; an empty domain takes the
+        # union path.
+        one = jc[x].bit_length() - 1 if queue.pop(x) == 1 else None
+        # x's candidates, decoded for its first unmatched y that needs them
+        xbits = None if one is None else (one,)
         unions = {}  # one OR per row view: neighbours often share views
         for y, rows in tnbrs[x]:
             if y in matched:
                 continue
-            if one is not None:
-                support = rows.masks[one][rows.i]
+            masks = rows.masks
+            if one is not None and (one in masks or masks.budget[0]):
+                support = masks[one][rows.i]  # rows[one], without a call
             else:
                 if xbits is None:
-                    xbits = _bits(d)
+                    xbits = _bits(jc[x])
                 if rows not in unions:
                     unions[rows] = rows.union(xbits, deadline)
                 support = unions[rows]

@@ -118,17 +118,17 @@ def sparse_multiplex_graph(rng: random.Random, n: int, edge_count: int,
     return g
 
 
-def plant_twins(rng: random.Random, g: MultiplexGraph, share: float = 0.1,
-                most: int = 3) -> MultiplexGraph:
-    """``g`` with a random ``share`` of its vertices each replaced by 2 to
-    ``most`` structurally equivalent copies, the ids shuffled.
+def plant_twins(rng: random.Random, g: MultiplexGraph,
+                share: float = 0.1) -> MultiplexGraph:
+    """``g`` with a random ``share`` of its vertices each replaced by 2 or 3
+    structurally equivalent copies, the ids shuffled.
 
     The copies of a vertex keep its label and self-loop, and every arc
     between two vertices joins each copy of one to each copy of the other.
     By a coin flip per vertex, its copies are open twins (pairwise
     non-adjacent) or closed twins (a clique of mutual arcs of one random
     tuple)."""
-    sizes = [rng.randint(2, most) if rng.random() < share else 1
+    sizes = [rng.randint(2, 3) if rng.random() < share else 1
              for _ in range(g.vertex_count)]
     ids = iter(rng.sample(range(sum(sizes)), sum(sizes)))
     copies = [[next(ids) for _ in range(size)] for size in sizes]

@@ -111,6 +111,30 @@ class TestInitCandidates:
             nonempty += all(got)
         assert nonempty >= 30 and isolated_seen >= 100
 
+    def test_many_template_channels_match_per_vertex_oracle(self, rng):
+        # A template whose arcs span five or more channels sums each
+        # vertex's degrees as one row of its arc tuples, cut to those
+        # channels unless they are all of them; fewer sum by columns.
+        spans = {"rows, cut": 0, "rows, all": 0, "columns": 0}
+        for i in range(80):
+            k = rng.randint(5, 8)
+            t, _ = labelled_multiplex(rng, rng.randint(3, 6), k, 0,
+                                      [None, "a"])
+            w, _ = labelled_multiplex(rng, rng.randint(6, 12), k,
+                                      rng.randint(0, 2),
+                                      None if i % 3 == 0 else ["a", "b"])
+            if i % 2:
+                plant(rng, t, w)
+            used = {j for arcs in t.out for e in arcs.values()
+                    for j, m in enumerate(e) if m}
+            spans["columns" if len(used) <= 4 else
+                  "rows, all" if len(used) == k else "rows, cut"] += 1
+            problem = Problem(t, w)
+            got = init_candidates(problem)
+            assert [set(cs) for cs in got] == unary_candidates(problem), i
+            assert same_sets(got, candidates_per_vertex(problem)), i
+        assert min(spans.values()) >= 5, spans
+
     def test_matches_reference_on_twin_world(self, twin_world):
         # The grouped tests against the per-vertex ones in a world of
         # twins and self-loops, unlabelled and with three labels, for

@@ -419,6 +419,42 @@ class TestPropagate:
         _propagate(tnbrs, jc, [1])
         assert decoded == [0b01110] and jc == [0b00111, 0b01110, 0b11100]
 
+    def test_one_candidate_row_builds_no_entry_once_budget_is_spent(
+            self, monkeypatch):
+        # A 3-star whose matched centre has one candidate ``c``. Within the
+        # budget, its leaves read c's memoised entry, built once. Once the
+        # budget is spent, each row view of the centre takes one union,
+        # which reads c's arcs into the buffer and builds no entry.
+        w = sparse_multiplex_graph(random.Random(5), 400, 1200)
+        t = Graph(4)
+        for leaf in (1, 2, 3):
+            t.add_edge(0, leaf)
+            t.add_edge(leaf, 0)
+        c = max(range(400), key=lambda v: len(w.out[v]))
+        nbrs = sum(1 << c2 for c2 in w.out[c])
+        built, unions = [0], [0]
+        missing, union = search._Masks.__missing__, search._Rows.union
+        def counted_missing(self, v):
+            built[0] += 1
+            return missing(self, v)
+        def counted_union(self, cs, deadline=None):
+            unions[0] += 1
+            return union(self, cs, deadline)
+        monkeypatch.setattr(search._Masks, "__missing__", counted_missing)
+        monkeypatch.setattr(search._Rows, "union", counted_union)
+        for budget, want_built, want_unions in ((search._ROW_BYTES, 1, 0),
+                                                (0, 0, None)):
+            monkeypatch.setattr(search, "_ROW_BYTES", budget)
+            built[0] = unions[0] = 0
+            tnbrs = _support_masks(t, w)[0]
+            views = len({id(rows) for _, rows in tnbrs[0]})
+            jc = [1 << c] + [(1 << 400) - 1] * 3
+            _propagate(tnbrs, jc, [0], matched={0: c})
+            assert jc == [1 << c] + [nbrs] * 3, budget
+            assert built[0] == want_built, budget
+            assert unions[0] == (views if want_unions is None
+                                 else want_unions), budget
+
     def test_closure_matches_set_reference(self, rng):
         # The closure is unique, so any pop order reaches the set-based
         # reference's domains: from every vertex at the root, and from a
