@@ -57,7 +57,9 @@ as wide as the world, and that image narrows each adjacent sibling before
 the sibling's own candidates are unioned. The closure is the same in any
 order. A matched vertex is never revised: its image kept its support when
 it was matched, and stays supported while its neighbours' domains are
-non-empty.
+non-empty. The search fails a node at its first emptied domain (at once
+at the root when a candidate set is empty) and backs up, leaving the rest
+of the closure unbuilt; ``apply_filters`` still returns the whole closure.
 
 A domain is a Python ``int`` used as a bitset: bit ``c`` is set when world
 vertex ``c`` is a candidate. A solve lists the distinct template-edge
@@ -368,7 +370,7 @@ def _support_masks(t: MultiplexGraph, w: MultiplexGraph):
 
 
 def _propagate(tnbrs, jc: list[int], changed,
-               deadline: float | None = None, matched=()) -> None:
+               deadline: float | None = None, matched=None) -> bool:
     """Arc consistency, in place, from the vertices in ``changed``.
 
     Every other arc must already be consistent. The queue maps each vertex
@@ -390,10 +392,21 @@ def _propagate(tnbrs, jc: list[int], changed,
     to ``r``, it was popped and every neighbour was revised against
     ``{r}``; domains only shrink after that, and support holds both ways
     on an arc, so ``r`` keeps its support while each neighbour's domain is
-    non-empty. An empty neighbour is unmatched, and its node fails on it.
-    The search passes its matched vertices; ``apply_filters`` passes none,
-    since a match given by hand may be inconsistent."""
+    non-empty. An empty neighbour is unmatched, and no map extends the
+    node's match then: given a ``matched`` dict (``{}`` at the root), the
+    call returns ``False`` at the first domain a revision empties, or at
+    once when a domain of ``changed`` is empty, leaving the other domains
+    part-revised (MAC's wipe-out; Sabin and Freuder, 1994). It returns
+    ``True`` when the queue drains. The search passes its matched vertices;
+    ``apply_filters`` passes none, since a match given by hand may be
+    inconsistent, and then gets the whole closure, whose empty domains
+    empty every domain they reach."""
     queue = {v: jc[v].bit_count() for v in changed}
+    stop = matched is not None
+    if not stop:
+        matched = ()
+    elif not all(queue.values()):
+        return False
     while queue:
         if deadline is not None and time.monotonic() >= deadline:
             raise DeadlineExceeded
@@ -420,7 +433,10 @@ def _propagate(tnbrs, jc: list[int], changed,
             keep = jc[y] & support
             if keep != jc[y]:
                 jc[y] = keep
+                if not keep and stop:
+                    return False
                 queue[y] = keep.bit_count()
+    return True
 
 
 class _Searcher:
@@ -560,13 +576,14 @@ class _Searcher:
         while True:
             # ``_propagate`` checks the deadline before its first pop, and
             # ``changed`` is never empty: every vertex at the root, the
-            # branching vertex's template class below.
-            _propagate(self.tnbrs, jc, changed, deadline, assigned)
+            # branching vertex's template class below. It stops at the
+            # first wiped-out domain, and the node builds no sizes.
             free = ~self.used
-            sizes = {v: (jc[v] & free).bit_count()
-                     for v in range(nt) if v not in assigned}
-            if not all(sizes.values()):
-                pass  # a wiped-out domain: back up
+            sizes = (_propagate(self.tnbrs, jc, changed, deadline, assigned)
+                     and {v: (jc[v] & free).bit_count()
+                          for v in range(nt) if v not in assigned})
+            if not sizes or not all(sizes.values()):
+                pass  # a wiped-out domain, or one all used: back up
             elif len(sizes) > 1:
                 u = _branch_vertex(sizes, self.tdegree, self.cover)
                 stack.append((jc, u, self.tp.classes[self.tp.class_of[u]],

@@ -76,6 +76,26 @@ class TestSingleRun:
         assert payload["total"] == "0"
         assert payload["status"] == "completed"
 
+    @pytest.mark.parametrize("mode", [m.value for m in ALL_MODES])
+    def test_root_wipe_out_writes_empty_outputs(self, capsys, tmp_path,
+                                                toy_paths, monkeypatch, mode):
+        # No file format carries labels, so the loader hands the CLI the toy
+        # problem with a template label the world lacks: the root fails,
+        # and the run writes no class and the empty DOT graph.
+        p = toy_problem()
+        p.template.labels = ["x"] + [None] * (p.template.vertex_count - 1)
+        monkeypatch.setattr(cli, "load_problem", lambda *args: p)
+        jsonl, dot = tmp_path / "classes.jsonl", tmp_path / "out.dot"
+        code, out, _ = run_cli(capsys, "--template", toy_paths[0],
+                               "--world", toy_paths[1], "--mode", mode,
+                               "--solutions", str(jsonl), "--dot", str(dot))
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["status"], payload["total"],
+                payload["representatives"]) == ("completed", "0", 0)
+        assert jsonl.read_bytes() == b""
+        assert dot.read_text() == "digraph G { }"
+
     def test_multiplex_format(self, capsys, tmp_path):
         p = toy_problem()
         t = tmp_path / "t.txt"

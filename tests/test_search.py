@@ -419,6 +419,55 @@ class TestPropagate:
         _propagate(tnbrs, jc, [1])
         assert decoded == [0b01110] and jc == [0b00111, 0b01110, 0b11100]
 
+    def test_search_stops_at_the_first_wiped_out_domain(self, monkeypatch):
+        # Path 0 - 1 - ... - 5 in the path 0 - ... - 7, vertex 0 matched to
+        # world vertex 0, whose one neighbour is not a candidate of 1. With
+        # a matched set the call fails as 1 empties: nothing further is
+        # revised, unioned or decoded. Without one it returns the closure,
+        # in which the empty domain empties the whole chain.
+        k = 5
+        t = undirected(k + 1, [(v, v + 1) for v in range(k)])
+        w = undirected(8, [(v, v + 1) for v in range(7)])
+        tnbrs = _support_masks(t, w)[0]
+        unions, decoded = [0], []
+        union = search._Rows.union
+        def counted_union(self, cs, deadline=None):
+            unions[0] += 1
+            return union(self, cs, deadline)
+        def bits(d):
+            decoded.append(d)
+            return _bits(d)
+        monkeypatch.setattr(search._Rows, "union", counted_union)
+        monkeypatch.setattr(search, "_bits", bits)
+        start = [1 << 0, 0xFF & ~(1 << 1)] + [0xFF] * (k - 1)
+        jc = list(start)
+        assert _propagate(tnbrs, jc, [0], matched={0: 0}) is False
+        assert jc[1] == 0 and jc[2:] == start[2:]
+        assert unions[0] == 0 and decoded == []
+        jc = list(start)
+        assert _propagate(tnbrs, jc, [0]) is True
+        assert jc == [0] * (k + 1)
+        assert [set(_bits(d)) for d in jc] == arc_consistent(
+            Problem(t, w), [set(_bits(d)) for d in start])
+
+    def test_empty_changed_domain_fails_at_once(self):
+        # An empty domain in ``changed`` fails a search call before any pop
+        # (a pop reads the popped vertex's neighbours); without a matched
+        # set it is popped and closes as before.
+        t = undirected(3, [(0, 1), (1, 2)])
+        w = undirected(4, [(0, 1), (1, 2), (2, 3)])
+        pops = []
+        class Popped(list):
+            def __getitem__(self, x):
+                pops.append(x)
+                return super().__getitem__(x)
+        tnbrs = Popped(_support_masks(t, w)[0])
+        jc = [0b1111, 0, 0b1111]
+        assert _propagate(tnbrs, jc, range(3), matched={}) is False
+        assert jc == [0b1111, 0, 0b1111] and pops == []
+        assert _propagate(tnbrs, jc, range(3)) is True
+        assert jc == [0, 0, 0] and pops[0] == 1
+
     def test_one_candidate_row_builds_no_entry_once_budget_is_spent(
             self, monkeypatch):
         # A 3-star whose matched centre has one candidate ``c``. Within the
@@ -883,6 +932,24 @@ class TestDegenerateInputs:
         assert (report.representatives, report.total) == (0, 0)
         assert report.status == "completed"
         assert classes == []
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_root_wipe_out_completes_with_zero(self, mode, monkeypatch):
+        # A label the world lacks leaves its vertex no candidate: the root's
+        # one propagation fails at once and the search backs out.
+        p = toy_problem()
+        p.template.labels = ["x"] + [None] * (p.template.vertex_count - 1)
+        assert not init_candidates(p)[0]
+        verdicts = []
+        propagate = search._propagate
+        def spy(*args):
+            verdicts.append(propagate(*args))
+            return verdicts[-1]
+        monkeypatch.setattr(search, "_propagate", spy)
+        report, classes = solve(p, mode)
+        assert (report.status, report.total, report.representatives) == (
+            "completed", 0, 0)
+        assert classes == [] and verdicts == [False]
 
     def test_invalid_timeout(self):
         with pytest.raises(ValueError):
