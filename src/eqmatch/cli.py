@@ -3,9 +3,12 @@
 Single runs print a JSON report to stdout; counts are serialized as decimal
 strings since they may exceed native integer width. ``--solutions`` streams
 one JSONL line per class, byte-equal to ``json.dumps(sc.to_json())``: the
-text of every slot but the last is built once and kept while consecutive
-classes share those slots (as the classes of one search node do), so a
-line costs in proportion to its last slot. Suites read a CSV
+text of the line's head (every slot but the last) is kept while consecutive
+classes share those slots, as the classes of one search node do, so a line
+costs in proportion to its last slot. A changed head is rebuilt from its
+deepest changed slot: when only its deepest slot differs, as between
+sibling nodes, that slot's text is appended to the kept text of the
+shallower slots; otherwise the whole head is formatted. Suites read a CSV
 manifest (``name,template,world,format``), fan instances out over a process
 pool, and write one CSV row per (instance, mode) as it arrives, then
 per-mode aggregate rows with the fully-enumerated proportion and mean
@@ -83,23 +86,36 @@ def run(cfg: RunConfig, out=None) -> int:
     problem = load_problem(cfg.template, cfg.world, cfg.format)
     first: list[SolutionClass] = []  # only the first class is drawn
     stream = None if cfg.solutions is None else open(cfg.solutions, "w")
-    head, prefix = None, ""  # the last line's slots but its last, as text
+    # The last line's head (its slots but the last), the head as text, and
+    # the text of the head's slots but its deepest.
+    head = ()
+    prefix = outer = '{"assignments": ['
     def on_class(sc):
-        nonlocal head, prefix
+        nonlocal head, prefix, outer
         if not first:
             first.append(sc)
         if stream is None:
             return
-        if not sc.slots:  # the empty template's one class
+        slots = sc.slots
+        if not slots:  # the empty template's one class
             stream.write(f'{{"assignments": [], "count": "{sc.count}"}}\n')
             return
         # The last level yields its classes with the same head slots, so
-        # this compare is an identity check there.
-        if sc.slots[:-1] != head:
-            head = sc.slots[:-1]
-            prefix = '{"assignments": [' + "".join(
-                f"[{s.template_vertex}, {list(s.members)}], " for s in head)
-        s = sc.slots[-1]
+        # these compares are identity checks there. A changed head is
+        # rebuilt from its deepest changed slot: sibling nodes share every
+        # head slot but the deepest, whose text alone is then formatted and
+        # appended to the kept text of the shallower ones. A solve's classes
+        # all have one slot per template vertex, so a changed head has a
+        # deepest slot.
+        new = slots[:-1]
+        if new != head:
+            if new[:-1] != head[:-1]:
+                outer = '{"assignments": [' + "".join(
+                    f"[{s.template_vertex}, {list(s.members)}], "
+                    for s in new[:-1])
+            head, s = new, new[-1]
+            prefix = f"{outer}[{s.template_vertex}, {list(s.members)}], "
+        s = slots[-1]
         stream.write(f'{prefix}[{s.template_vertex}, {list(s.members)}]], '
                      f'"count": "{sc.count}"}}\n')
     try:

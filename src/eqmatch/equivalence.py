@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from math import factorial
 from operator import add, gt
 
@@ -37,14 +37,33 @@ class Partition:
 
     @staticmethod
     def from_groups(groups: list[list[int]], n: int) -> "Partition":
-        classes = tuple(tuple(sorted(g)) for g in sorted(groups, key=min))
-        class_of = [-1] * n
-        for i, cls in enumerate(classes):
-            for v in cls:
-                class_of[v] = i
-        if -1 in class_of:
-            raise ValueError("groups do not cover the vertex set")
-        return Partition(classes, tuple(class_of))
+        """The partition of ``0..n-1`` into ``groups``, which must hold
+        each vertex once."""
+        if sorted(chain.from_iterable(groups)) != list(range(n)):
+            raise ValueError("groups do not partition the vertex set")
+        return Partition._with_singletons([g for g in groups if len(g) > 1],
+                                          n)
+
+    @staticmethod
+    def _with_singletons(groups: list[list[int]], n: int) -> "Partition":
+        """The partition of ``0..n-1`` into the disjoint ``groups`` and one
+        singleton per vertex in none. The singletons are 1-tuples made by
+        ``zip``, and a class's index is a running count of the vertices
+        that start a class (its smallest member), both in C; Python visits
+        only the vertices of ``groups``."""
+        groups = [tuple(sorted(g)) for g in groups]
+        classes = list(zip(range(n)))  # each vertex's singleton
+        start = bytearray(b"\1") * n
+        for g in groups:
+            classes[g[0]] = g
+            for v in g[1:]:
+                start[v] = 0
+        class_of = list(accumulate(start, initial=-1))
+        del class_of[0]  # class_of[v] is v's index when v starts a class
+        for g in groups:
+            for v in g[1:]:
+                class_of[v] = class_of[g[0]]
+        return Partition(tuple(compress(classes, start)), tuple(class_of))
 
     @staticmethod
     def trivial(n: int) -> "Partition":
@@ -174,12 +193,7 @@ def find_equivalence_classes(g: MultiplexGraph,
             groups += [clique for clique in cliques if len(clique) > 1]
     check_now()
     del loops, nout, nin, sout, sin  # peak: aggregates or partition
-    placed = bytearray(n)
-    for grp in groups:
-        for v in grp:
-            placed[v] = 1
-    groups += ([v] for v in range(n) if not placed[v])
-    return Partition.from_groups(groups, n)
+    return Partition._with_singletons(groups, n)
 
 
 def count_factorial_lower_bound(p: Partition) -> int:

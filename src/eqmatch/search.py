@@ -39,10 +39,15 @@ slots of any mode. ``solve`` alone counts, streams, collects and stops,
 and ``expand_solution_class`` expands every mode by one quota search over
 the slots. Both searches keep an explicit stack, so a template's size is
 not bounded by Python's recursion limit, and neither gives its last level
-a frame. The search keeps one frame per matched template vertex; once one
-template vertex is left unmatched, each entry of its branch list is a
-class, yielded as it is weighed, with no domain copy and no update of the
-match. The expander keeps one choice iterator per filled slot but the
+a frame. The search keeps one frame per matched template vertex, which
+also holds the product of the multipliers above it; once one template
+vertex is left unmatched, each entry of its branch list is a class,
+yielded as it is weighed, with no domain copy and no update of the match.
+The node's slots become one head tuple, shared by its classes, and each
+class is that head plus one slot, both tuples built by ``tuple.__new__``
+with no call of the named tuples' Python-level constructors; a class
+weighs the frame's product times its last multiplier, or ``count_tewe``.
+The expander keeps one choice iterator per filled slot but the
 last, whose iterator it hands to the caller with ``yield from``, so a map
 costs one generator resume.
 
@@ -115,7 +120,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import compress
-from math import prod
 from typing import Callable, NamedTuple
 
 from .graphs import MultiplexGraph, Problem, dominates
@@ -410,11 +414,15 @@ def _propagate(tnbrs, jc: list[int], changed,
     while queue:
         if deadline is not None and time.monotonic() >= deadline:
             raise DeadlineExceeded
-        x = min(queue, key=queue.__getitem__)
+        if len(queue) == 1:
+            x, size = queue.popitem()
+        else:
+            x = min(queue, key=queue.__getitem__)
+            size = queue.pop(x)
         # The one candidate of x, from its domain size in the queue, with
         # no operation as wide as the world; an empty domain takes the
         # union path.
-        one = jc[x].bit_length() - 1 if queue.pop(x) == 1 else None
+        one = jc[x].bit_length() - 1 if size == 1 else None
         # x's candidates, decoded for its first unmatched y that needs them
         xbits = None if one is None else (one,)
         unions = {}  # one OR per row view: neighbours often share views
@@ -451,7 +459,6 @@ class _Searcher:
         rule = _RULES[mode]
         t = self.t
         self.tnbrs, self.tself = _support_masks(t, self.w)
-        self.tdegree = [t.degree(u) for u in range(self.nt)]
         self.tp = (find_equivalence_classes(t, deadline=deadline)
                    if rule.template_partition else Partition.trivial(self.nt))
         self.wp = (find_equivalence_classes(self.w, deadline=deadline)
@@ -464,6 +471,7 @@ class _Searcher:
         self.cover: frozenset[int] = (frozenset(greedy_node_cover(t))
                                       if rule.cells is _Searcher._nc_cells
                                       else frozenset())
+        self.branch_order = _branch_order(t, self.cover)
 
         self.assigned: dict[int, int] = {}
         self.used = 0  # bitset of the assigned images
@@ -537,6 +545,8 @@ class _Searcher:
         ``u``, by ascending representative: the lowest free candidate."""
         used = self.used
         free = jc[u] & ~used
+        if not free:  # every candidate used: no entry
+            return []
         if self.cells is None:
             # The world classes of the free candidates, first met at their
             # representatives.
@@ -571,43 +581,48 @@ class _Searcher:
             return
         assigned, slots, nt, deadline = (self.assigned, self.slots, self.nt,
                                          self.deadline)
+        mode, multinomial = self.mode, self.multinomial
+        # A slot and a class are built by ``tuple.__new__``, skipping the
+        # named tuples' Python-level ``__new__``: the fields are in order.
+        new = tuple.__new__
         stack = []
-        changed = range(nt)
+        changed, base = range(nt), 1  # base: the matched multipliers' product
         while True:
             # ``_propagate`` checks the deadline before its first pop, and
             # ``changed`` is never empty: every vertex at the root, the
             # branching vertex's template class below. It stops at the
             # first wiped-out domain, and the node builds no sizes.
             free = ~self.used
-            sizes = (_propagate(self.tnbrs, jc, changed, deadline, assigned)
-                     and {v: (jc[v] & free).bit_count()
-                          for v in range(nt) if v not in assigned})
-            if not sizes or not all(sizes.values()):
-                pass  # a wiped-out domain, or one all used: back up
-            elif len(sizes) > 1:
-                u = _branch_vertex(sizes, self.tdegree, self.cover)
-                stack.append((jc, u, self.tp.classes[self.tp.class_of[u]],
-                              iter(self._generate(u, jc))))
+            if not _propagate(self.tnbrs, jc, changed, deadline, assigned):
+                pass  # a wiped-out domain: back up
+            elif len(assigned) < nt - 1:
+                sizes = {v: (jc[v] & free).bit_count()
+                         for v in self.branch_order if v not in assigned}
+                if all(sizes.values()):  # else a domain is all used: back up
+                    u = _branch_vertex(sizes, self.cover)
+                    stack.append((jc, u, self.tp.classes[self.tp.class_of[u]],
+                                  iter(self._generate(u, jc)), base))
             else:
                 # The last level leaves assigned, used and slots as they
                 # are; the deadline is checked per class, since it can hold
-                # |V_w| entries.
-                (u,) = sizes
+                # |V_w| entries. Its vertex is the one unmatched: the sum of
+                # every vertex less the sum of the matched ones.
+                u = nt * (nt - 1) // 2 - sum(assigned)
                 tclass = self.tp.classes[self.tp.class_of[u]]
-                head, base = tuple(slots), prod(s.multiplier for s in slots)
+                head = tuple(slots)
                 for rep, members, mult in self._generate(u, jc):
                     if time.monotonic() >= deadline:
                         raise DeadlineExceeded
-                    if self.multinomial:
+                    if multinomial:
                         count = count_tewe(self.problem, {**assigned, u: rep},
                                            self.tp, self.wp)
                     else:
                         count = base * mult
-                    yield SolutionClass(self.mode, (*head, Slot(
-                        u, tclass, rep, members, mult)), count)
+                    yield new(SolutionClass, (mode, head + (new(Slot, (
+                        u, tclass, rep, members, mult)),), count))
             # Back up to the deepest node with an entry left.
             while stack:
-                jc, u, tclass, entries = stack[-1]
+                jc, u, tclass, entries, base = stack[-1]
                 if u in assigned:  # back from its last child
                     slot = slots.pop()
                     self.used ^= 1 << slot.world_vertex
@@ -628,9 +643,10 @@ class _Searcher:
             rep, members, mult = entry
             assigned[u] = rep
             self.used |= 1 << rep
-            slots.append(Slot(u, tclass, rep, members, mult))
+            slots.append(new(Slot, (u, tclass, rep, members, mult)))
             jc = list(jc)
             jc[u] = 1 << rep
+            base *= mult
             changed = tclass
 
 
@@ -751,25 +767,33 @@ def apply_filters(match, csets: list[set[int]], problem: Problem) -> list[set[in
             for u, d in enumerate(jc)]
 
 
-def _branch_vertex(sizes: dict[int, int], degree, cover) -> int:
-    """The unmatched vertex (a key of ``sizes``, which maps it to its
-    domain size) to branch on: node-cover vertices first, then the smallest
-    domain, ties by max template degree, then lowest index."""
+def _branch_order(t: MultiplexGraph, cover) -> tuple[int, ...]:
+    """The template vertices in the branching order that ties of domain
+    size fall back to: max template degree, then lowest index, with the
+    node-cover vertices first."""
+    return tuple(sorted(range(t.vertex_count),
+                        key=lambda u: (u not in cover, -t.degree(u), u)))
+
+
+def _branch_vertex(sizes: dict[int, int], cover) -> int:
+    """The unmatched vertex to branch on: node-cover vertices first, then
+    the smallest domain, ties by max template degree, then lowest index.
+    ``sizes`` maps each unmatched vertex to its domain size, in
+    ``_branch_order``, so ``min`` returns the first of the smallest."""
     if not sizes:
         raise ValueError("no unmatched template vertex")
-    return min(sizes, key=lambda u: (u not in cover, sizes[u], -degree[u], u))
+    return min(list(filter(cover.__contains__, sizes)) or sizes,
+               key=sizes.__getitem__)
 
 
 def next_template_vertex(problem: Problem, csets: list[set[int]], matched,
                          cover=()) -> int:
     """The branching vertex: node-cover vertices first, then the smallest
     candidate set, ties by max template degree, then lowest index."""
-    t = problem.template
-    matched = set(matched)
-    sizes = {u: len(csets[u]) for u in range(t.vertex_count)
-             if u not in matched}
-    return _branch_vertex(sizes, [t.degree(u) for u in range(t.vertex_count)],
-                          set(cover))
+    matched, cover = set(matched), set(cover)
+    return _branch_vertex({u: len(csets[u])
+                           for u in _branch_order(problem.template, cover)
+                           if u not in matched}, cover)
 
 
 def expansion_count_of(sc: SolutionClass) -> int:

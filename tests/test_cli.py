@@ -8,11 +8,12 @@ import pytest
 
 from eqmatch import cli
 from eqmatch.cli import load_problem, main
-from eqmatch.graphs import serialize_lad, serialize_multiplex_edgelist
+from eqmatch.graphs import (Graph, serialize_lad,
+                            serialize_multiplex_edgelist)
 from eqmatch.reporting import compress, export_dot, induce_subgraph
 from eqmatch.search import ALL_MODES, Mode, Slot, SolutionClass, solve
-from eqmatch.synth import (cover_problem, random_problem, star_problem,
-                           toy_problem)
+from eqmatch.synth import (cover_problem, random_multiplex_graph,
+                           random_problem, star_problem, toy_problem)
 
 
 @pytest.fixture
@@ -166,6 +167,36 @@ class TestSingleRun:
             lines += len(assert_stream_is_json_dumps(capsys, tmp_path, t, w,
                                                      mode))
         assert lines and channels == {1, 2, 3}
+
+    @pytest.mark.parametrize("mode", [m.value for m in ALL_MODES])
+    def test_solutions_lines_equal_json_dumps_at_every_depth(self, capsys,
+                                                             tmp_path, mode):
+        # The writer keeps the text of each line's head (its slots but the
+        # last) and rebuilds it from the deepest changed slot. A 4-path and
+        # a 5-vertex kite (a triangle of two twins with a 2-path tail) in a
+        # seeded G(40, 0.1) world change the head at each of its depths; a
+        # one-vertex template's head is always empty.
+        world = random_multiplex_graph(random.Random(40), 40, 1,
+                                       edge_prob=0.1, max_multiplicity=1,
+                                       directed=False)
+        w = tmp_path / "w.lad"
+        w.write_text(serialize_lad(world))
+        for arcs, n in (([(0, 1), (1, 2), (2, 3)], 4),
+                        ([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)], 5),
+                        ([], 1)):
+            template = Graph(n)
+            for a, b in arcs:
+                template.add_edge(a, b)
+                template.add_edge(b, a)
+            t = tmp_path / "t.lad"
+            t.write_text(serialize_lad(template))
+            lines = assert_stream_is_json_dumps(capsys, tmp_path, t, w, mode,
+                                                fmt="lad")
+            heads = [json.loads(line)["assignments"][:-1] for line in lines]
+            changed = {next(d for d, (a, b) in enumerate(zip(h1, h2))
+                            if a != b)
+                       for h1, h2 in zip(heads, heads[1:]) if h1 != h2}
+            assert lines and changed == set(range(n - 1))
 
     @pytest.mark.parametrize("mode", [m.value for m in ALL_MODES])
     def test_solutions_line_of_the_empty_template(self, capsys, tmp_path,

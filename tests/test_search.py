@@ -1378,6 +1378,27 @@ class TestClassTuples:
         assert repr(SolutionClass(Mode.NE, (slot,), 2)) == (
             f"SolutionClass(mode={Mode.NE!r}, slots=({slot!r},), count=2)")
 
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_search_builds_what_the_constructors_build(self, mode):
+        # The search builds slots and classes by ``tuple.__new__``, with no
+        # call of the named tuples' own constructors.
+        for problem in (toy_problem(), cover_problem(), star_problem(5, 9)):
+            classes = solve(problem, mode)[1]
+            assert classes
+            for sc in classes:
+                assert type(sc) is SolutionClass
+                assert all(type(s) is Slot for s in sc.slots)
+                assert sc == SolutionClass(*sc)
+                assert sc.slots == tuple(Slot(*s) for s in sc.slots)
+                assert sc._asdict() == {"mode": sc.mode, "slots": sc.slots,
+                                        "count": sc.count}
+                assert [s._asdict()["members"] for s in sc.slots] == [
+                    s.members for s in sc.slots]
+                assert sc.to_json() == {
+                    "assignments": [[s.template_vertex, list(s.members)]
+                                    for s in sc.slots],
+                    "count": str(sc.count)}
+
 
 class TestReportFields:
     def test_compression_rate(self):
