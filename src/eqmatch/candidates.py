@@ -8,19 +8,19 @@ answers the same equivalence queries implicitly from adjacency.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import chain, repeat
+from math import inf
 from operator import ge, itemgetter
 
 from .graphs import Graph, MultiplexGraph, Problem, dominates
-from .equivalence import _CHECK_EVERY, DeadlineExceeded, structurally_equivalent
+from .equivalence import _CHECK_EVERY, _check_deadline, structurally_equivalent
 
 MatchPairs = list[tuple[int, int]]
 
 
 def init_candidates(problem: Problem,
-                    deadline: float | None = None) -> list[frozenset[int]]:
+                    deadline: float = inf) -> list[frozenset[int]]:
     """Initial candidate sets by the unary tests: label, degree, self-loop.
 
     Sound prefilter: a world vertex survives for template vertex ``u`` only
@@ -68,16 +68,12 @@ def init_candidates(problem: Problem,
             """Each vertex's in-degrees over ``chans``, then its out-degrees."""
             return map(tuple.__add__, map(sums, g.inn), map(sums, g.out))
 
-    def check() -> None:
-        if deadline is not None and time.monotonic() >= deadline:
-            raise DeadlineExceeded
-
     n = w.vertex_count
     groups: dict[tuple, list[int]] = {}
     keys = zip(w.labels or repeat(None), map(dict.get, w.out, range(n)),
                degrees(w))
     for start in range(0, n, _CHECK_EVERY):
-        check()
+        _check_deadline(deadline)
         for c, key in zip(range(start, start + _CHECK_EVERY), keys):
             groups.setdefault(key, []).append(c)
     by_label: dict[str | None, list[tuple]] = {}
@@ -88,7 +84,7 @@ def init_candidates(problem: Problem,
     for u, tdeg in enumerate(degrees(t)):
         profile = (t.label(u), tdeg, t.edge(u, u))
         if profile not in by_profile:
-            check()
+            _check_deadline(deadline)
             lbl, _, selfreq = profile
             by_profile[profile] = frozenset(chain.from_iterable(
                 groups[key]

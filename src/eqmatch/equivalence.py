@@ -12,7 +12,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, repeat
-from math import factorial
+from math import factorial, inf
 from operator import add, gt
 
 from .graphs import MultiplexGraph, Problem, is_subgraph_isomorphism
@@ -22,6 +22,13 @@ _CHECK_EVERY = 256  # vertices between deadline checks
 
 class DeadlineExceeded(TimeoutError):
     """A computation given a deadline ran past it."""
+
+
+def _check_deadline(deadline: float) -> None:
+    """Raise :class:`DeadlineExceeded` once ``deadline`` (a
+    ``time.monotonic()`` value) has passed."""
+    if time.monotonic() >= deadline:
+        raise DeadlineExceeded
 
 
 @dataclass(frozen=True)
@@ -120,7 +127,7 @@ def _shared(keys: list[int]):
 
 
 def find_equivalence_classes(g: MultiplexGraph,
-                             deadline: float | None = None) -> Partition:
+                             deadline: float = inf) -> Partition:
     """Compute the maximal structural-equivalence partition of ``g``.
 
     A class of two or more vertices is either pairwise non-adjacent (open
@@ -144,13 +151,9 @@ def find_equivalence_classes(g: MultiplexGraph,
     """
     visits = count()  # vertices given exact work
 
-    def check_now() -> None:
-        if deadline is not None and time.monotonic() >= deadline:
-            raise DeadlineExceeded
-
     def check() -> None:
         if next(visits) % _CHECK_EVERY == 0:
-            check_now()
+            _check_deadline(deadline)
 
     n, out, inn = g.vertex_count, g.out, g.inn
     labels = g.labels or repeat(None)
@@ -163,7 +166,7 @@ def find_equivalence_classes(g: MultiplexGraph,
         sout[v] -= v
         sin[v] -= v
     groups = []
-    check_now()
+    _check_deadline(deadline)
     for bucket in _shared(list(map(hash, zip(labels, loops, nout, nin,
                                              sout, sin)))):
         by_sig: dict[object, list[int]] = {}
@@ -171,7 +174,7 @@ def find_equivalence_classes(g: MultiplexGraph,
             check()
             by_sig.setdefault(_signature(g, v), []).append(v)
         groups += [grp for grp in by_sig.values() if len(grp) > 1]
-    check_now()
+    _check_deadline(deadline)
     for bucket in _shared(list(map(hash, zip(
             labels, loops, nout, nin, map(add, sout, range(n)),
             map(add, sin, range(n)))))):
@@ -191,7 +194,7 @@ def find_equivalence_classes(g: MultiplexGraph,
                 else:
                     cliques.append([v])
             groups += [clique for clique in cliques if len(clique) > 1]
-    check_now()
+    _check_deadline(deadline)
     del loops, nout, nin, sout, sin  # peak: aggregates or partition
     return Partition._with_singletons(groups, n)
 

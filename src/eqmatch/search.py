@@ -74,13 +74,14 @@ direction, whose entry ``c`` holds one mask per requirement: the world
 neighbours of ``c`` whose edge dominates it. A symmetric world, where
 every arc has its reverse with the same tuple, has one memo for both
 directions. The entry is built from one read of c's arcs, and
-``dominates`` is called once per (edge tuple, requirement). A ``_Rows``
-view picks one requirement's mask from a memo.
+``dominates`` is called once per (edge tuple, requirement). A template
+arc names its row table by a memo and a requirement index, and every
+reader indexes the memo as ``masks[c][i]``.
 A revision of ``y`` against a popped ``x`` ANDs ``jc[y]`` with the OR of
 the masks of x's candidates (the one candidate's mask, read with no
 decode, when ``x`` has one, as every matched vertex has), a cell is
-refined by the key ``out[c] & jc[u2]`` of one row at a time, and a child's
-domain list shares every int of its parent's except the branching
+refined by the key ``masks[c][i] & jc[u2]`` of one row at a time, and a
+child's domain list shares every int of its parent's except the branching
 vertex's, which becomes ``1 << image``.
 A mask is as wide as the world, so entries are built on first use and
 memoised within ``_ROW_BYTES`` per solve. A world of a few thousand
@@ -120,12 +121,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import compress
+from math import inf
 from typing import Callable, NamedTuple
 
 from .graphs import MultiplexGraph, Problem, dominates
 from .equivalence import (_CHECK_EVERY, DeadlineExceeded, Partition,
-                          count_tewe, find_equivalence_classes,
-                          interchange_count)
+                          _check_deadline, count_tewe,
+                          find_equivalence_classes, interchange_count)
 from .candidates import greedy_node_cover, init_candidates
 
 
@@ -266,7 +268,9 @@ class _Masks(dict):
     keyed by world vertex: entry ``c`` holds, for each requirement ``i`` of
     the solve, the world out- (or in-) neighbours of ``c`` whose edge
     dominates it. One read of c's arcs sets each neighbour's bit in every
-    mask its edge tuple is accepted by.
+    mask its edge tuple is accepted by. Every reader takes the row of
+    requirement ``i`` at ``c`` as ``masks[c][i]``, or ORs many rows by
+    :meth:`union`.
 
     A mask is as wide as the highest neighbour it holds, so a full table
     would take O(|V_w|^2) bits in a large sparse world. Entries are
@@ -275,7 +279,11 @@ class _Masks(dict):
     both directions, zero once spent). An entry is kept until one no longer
     fits; past that, a missing entry is built and returned but not kept.
     ``most`` bounds the cost of any entry, so a reader of ``k`` rows knows
-    that the budget lasts when ``k * most`` fits in it."""
+    that the budget lasts when ``k * most`` fits in it.
+
+    A memo hashes by identity, so ``(masks, i)`` names one row table."""
+
+    __hash__ = object.__hash__
 
     def __init__(self, adj, accepts: _Accepts, budget: list[int]):
         super().__init__()
@@ -297,38 +305,27 @@ class _Masks(dict):
             self.budget[0] = 0
         return masks
 
-
-class _Rows:
-    """The support masks of one (requirement, direction): a view whose
-    entry ``c`` is mask ``i`` of ``masks[c]``."""
-
-    def __init__(self, masks: _Masks, i: int):
-        self.masks, self.i = masks, i
-
-    def __getitem__(self, c: int) -> int:
-        return self.masks[c][self.i]
-
-    def union(self, cs: list[int], deadline: float | None = None) -> int:
-        """The OR of the rows of ``cs``. When the budget left holds
-        ``len(cs)`` entries of the largest cost, every row is (or becomes)
-        part of a memoised entry. Otherwise each row is ORed in from its
-        entry while it is memoised or the budget lasts; once the budget is
-        spent, the bits of a row not memoised are set in one byte buffer,
-        so that the cost stays linear in their arcs instead of growing with
-        |cs| x |V_w|. The buffer is made only when some row needs it, and
-        ``deadline`` is checked every ``_CHECK_EVERY`` rows."""
-        masks, i, m = self.masks, self.i, 0
-        if len(cs) * masks.most <= masks.budget[0]:
+    def union(self, i: int, cs: list[int], deadline: float = inf) -> int:
+        """The OR of the rows of requirement ``i`` at ``cs``. When the
+        budget left holds ``len(cs)`` entries of the largest cost, every
+        row is (or becomes) part of a memoised entry. Otherwise each row is
+        ORed in from its entry while it is memoised or the budget lasts;
+        once the budget is spent, the bits of a row not memoised are set in
+        one byte buffer, so that the cost stays linear in their arcs
+        instead of growing with |cs| x |V_w|. The buffer is made only when
+        some row needs it, and ``deadline`` is checked every
+        ``_CHECK_EVERY`` rows."""
+        m = 0
+        if len(cs) * self.most <= self.budget[0]:
             for c in cs:
-                m |= masks[c][i]
+                m |= self[c][i]
             return m
-        accepts, adj, buf = masks.accepts, masks.adj, None
+        accepts, adj, budget, buf = self.accepts, self.adj, self.budget, None
         for start in range(0, len(cs), _CHECK_EVERY):
-            if deadline is not None and time.monotonic() >= deadline:
-                raise DeadlineExceeded
+            _check_deadline(deadline)
             for c in cs[start:start + _CHECK_EVERY]:
-                if c in masks or masks.budget[0]:
-                    m |= masks[c][i]
+                if c in self or budget[0]:
+                    m |= self[c][i]
                     continue
                 if buf is None:
                     buf = bytearray((len(adj) + 7) // 8)
@@ -345,36 +342,37 @@ def _support_masks(t: MultiplexGraph, w: MultiplexGraph):
     """World support masks for every template arc, ``(tnbrs, tself)``.
 
     Every template edge is read from both of its ends, so both directions
-    share one list of the distinct requirements. One :class:`_Rows` view is
-    made per (requirement, direction). ``tnbrs[u]`` holds ``(u2, rows)``
-    for each template edge between ``u`` and a neighbour ``u2``, grouped by
-    neighbour: the out-row of ``t.edge(u, u2)``, whose ``rows[c]`` holds
-    the candidates of ``u2`` that an image ``c`` of ``u`` supports through
-    the edge ``u -> u2``, then the in-row of ``t.edge(u2, u)``.
-    ``tself[u]`` is the ``(out, in)`` pair of u's self-loop, ``None`` for
-    both when it has none."""
+    share one list of the distinct requirements, and a row table is a
+    ``(masks, i)`` pair: the :class:`_Masks` memo of a direction and the
+    index of a requirement. ``tnbrs[u]`` holds ``(u2, masks, i)`` for each
+    template edge between ``u`` and a neighbour ``u2``, grouped by
+    neighbour: the out-table of ``t.edge(u, u2)``, whose row ``masks[c][i]``
+    holds the candidates of ``u2`` that an image ``c`` of ``u`` supports
+    through the edge ``u -> u2``, then the in-table of ``t.edge(u2, u)``;
+    in a symmetric world one table serves both and is listed once.
+    ``tself[u]`` is the out-pair and the in-pair of u's self-loop, ``None``
+    for both when it has none."""
     reqs = list(dict.fromkeys(e for arcs in t.out for e in arcs.values()))
     accepts, budget = _Accepts(reqs), [_ROW_BYTES]
     masks = [_Masks(adj, accepts, budget)
              for adj in ((w.out,) if w.out == w.inn else (w.out, w.inn))]
-    views = {None: (None, None)}
+    pairs = {None: (None, None)}
     for i, req in enumerate(reqs):
-        rows = [_Rows(m, i) for m in masks]
-        views[req] = rows[0], rows[-1]
+        pairs[req] = (masks[0], i), (masks[-1], i)
 
     tnbrs, tself = [], []
     for u in range(t.vertex_count):
         nbrs = sorted((t.out[u].keys() | t.inn[u].keys()) - {u})
         tnbrs.append(tuple(dict.fromkeys(
-            (u2, rows) for u2 in nbrs
-            for rows in (views[t.edge(u, u2)][0], views[t.edge(u2, u)][1])
-            if rows is not None)))
-        tself.append(views[t.edge(u, u)])
+            (u2, *pair) for u2 in nbrs
+            for pair in (pairs[t.edge(u, u2)][0], pairs[t.edge(u2, u)][1])
+            if pair is not None)))
+        tself.append(pairs[t.edge(u, u)])
     return tnbrs, tself
 
 
 def _propagate(tnbrs, jc: list[int], changed,
-               deadline: float | None = None, matched=None) -> bool:
+               deadline: float = inf, matched=None) -> bool:
     """Arc consistency, in place, from the vertices in ``changed``.
 
     Every other arc must already be consistent. The queue maps each vertex
@@ -386,9 +384,9 @@ def _propagate(tnbrs, jc: list[int], changed,
     candidates is queued again with its new size. Out- and in-support are
     independent: each may come from a different candidate of ``x``.
     When ``x`` has one candidate ``c`` (every matched vertex has), each
-    neighbour is ANDed with its row at ``c``, with no decode: read from
-    its entry while memoised or the budget lasts, else by one ``union``
-    per row view, whose byte buffer builds no entry.
+    neighbour is ANDed with its row ``masks[c][i]``, with no decode: read
+    from its entry while memoised or the budget lasts, else by one
+    ``masks.union`` per row table, whose byte buffer builds no entry.
     Wider candidates of ``x`` are decoded only when it has a neighbour to
     revise, so a vertex whose neighbours are all matched costs one pop.
 
@@ -412,7 +410,7 @@ def _propagate(tnbrs, jc: list[int], changed,
     elif not all(queue.values()):
         return False
     while queue:
-        if deadline is not None and time.monotonic() >= deadline:
+        if time.monotonic() >= deadline:
             raise DeadlineExceeded
         if len(queue) == 1:
             x, size = queue.popitem()
@@ -425,19 +423,19 @@ def _propagate(tnbrs, jc: list[int], changed,
         one = jc[x].bit_length() - 1 if size == 1 else None
         # x's candidates, decoded for its first unmatched y that needs them
         xbits = None if one is None else (one,)
-        unions = {}  # one OR per row view: neighbours often share views
-        for y, rows in tnbrs[x]:
+        unions = {}  # one OR per row table: neighbours often share tables
+        for y, masks, i in tnbrs[x]:
             if y in matched:
                 continue
-            masks = rows.masks
             if one is not None and (one in masks or masks.budget[0]):
-                support = masks[one][rows.i]  # rows[one], without a call
+                support = masks[one][i]
             else:
                 if xbits is None:
                     xbits = _bits(jc[x])
-                if rows not in unions:
-                    unions[rows] = rows.union(xbits, deadline)
-                support = unions[rows]
+                table = masks, i
+                support = unions.get(table)
+                if support is None:
+                    support = unions[table] = masks.union(i, xbits, deadline)
             keep = jc[y] & support
             if keep != jc[y]:
                 jc[y] = keep
@@ -518,11 +516,11 @@ class _Searcher:
             d = jc[uprime]
             inside = [piece for cell in cells if (piece := cell & d)]
             cells = [piece for cell in cells if (piece := cell & ~d)]
-            for u2, rows in self.tnbrs[uprime]:
+            for u2, masks, i in self.tnbrs[uprime]:
                 if u2 not in assigned:
                     d2 = jc[u2]
                     inside = _refine(inside, lambda cell: {
-                        c: rows[c] & d2 for c in _bits(cell)})
+                        c: masks[c][i] & d2 for c in _bits(cell)})
             out, inn = self.tself[uprime]
             if out is not None:
                 inside = _refine(inside, lambda cell: _own_labels(out, inn,
@@ -659,14 +657,15 @@ def _refine(cells: list[int], labels) -> list[int]:
 
 
 def _own_labels(out, inn, own: int, cell: int) -> dict[int, tuple]:
-    """The labels, in the layer of a self-loop with support rows ``out`` and
-    ``inn`` and domain ``own``, of the candidates of ``cell``: a candidate's
-    closed neighbourhood (edges both ways to its twin) when another
-    candidate of the cell shares it, its open one (no edge) otherwise. Each
-    candidate passed the unary self-loop test, so its row holds itself. A
-    candidate never has a twin of both kinds, so labelling per cell groups
-    a cell as labelling the whole domain would."""
-    closed = {c: (out[c] & own, inn[c] & own) for c in _bits(cell)}
+    """The labels, in the layer of a self-loop with the ``(masks, i)``
+    pairs ``out`` and ``inn`` and domain ``own``, of the candidates of
+    ``cell``: a candidate's closed neighbourhood (edges both ways to its
+    twin) when another candidate of the cell shares it, its open one (no
+    edge) otherwise. Each candidate passed the unary self-loop test, so its
+    row holds itself. A candidate never has a twin of both kinds, so
+    labelling per cell groups a cell as labelling the whole domain would."""
+    (out, i), (inn, j) = out, inn
+    closed = {c: (out[c][i] & own, inn[c][j] & own) for c in _bits(cell)}
     shared = Counter(closed.values())
     return {c: (True, *sig) if shared[sig] > 1
             else (False, sig[0] & ~(1 << c), sig[1] & ~(1 << c))

@@ -3,8 +3,12 @@
 import copy
 import gc
 import json
+import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -164,14 +168,15 @@ def per_arc_rows(w, req, out):
 
 
 def listed_rows(t, tnbrs, u, u2, symmetric):
-    """The ``(rows, requirement, out)`` triples that ``tnbrs[u]`` must list
-    for ``u2``: the out-row of ``u -> u2``, then the in-row of ``u2 -> u``,
-    for each arc that exists. In a symmetric world, when both arcs exist
-    with one tuple, one view serves both and is listed once."""
+    """The ``((masks, i), requirement, out)`` triples that ``tnbrs[u]``
+    must list for ``u2``: the out-table of ``u -> u2``, then the in-table
+    of ``u2 -> u``, for each arc that exists. In a symmetric world, when
+    both arcs exist with one tuple, one table serves both and is listed
+    once."""
     want = [(req, out) for req, out in ((t.edge(u, u2), True),
                                         (t.edge(u2, u), False))
             if req is not None]
-    listed = [rows for v, rows in tnbrs[u] if v == u2]
+    listed = [(masks, i) for v, masks, i in tnbrs[u] if v == u2]
     if symmetric and len(want) == 2 and want[0][0] == want[1][0]:
         assert len(listed) == 1, (u, u2)
         listed *= 2
@@ -181,12 +186,12 @@ def listed_rows(t, tnbrs, u, u2, symmetric):
 
 class TestSupportRows:
     def test_rows_match_per_arc_support(self, rng, monkeypatch):
-        # Each row is a _Rows view of one mask in a _Masks entry, which one
+        # Each row ``masks[c][i]`` is one mask of a _Masks entry, which one
         # read of c's arcs fills for every requirement; it must still hold
         # exactly the neighbours whose arc dominates its requirement,
         # memoised, rebuilt or set in the byte buffer. Every template arc
         # is covered from both of its ends. A symmetric world has one
-        # table, so an out-row and an in-row of one tuple are one view.
+        # table, so an out-row and an in-row of one tuple are one pair.
         shared = separate = 0
         for i in range(30):
             # Directed in a directed world, undirected in an undirected
@@ -210,40 +215,42 @@ class TestSupportRows:
                 tnbrs, tself = _support_masks(t, w)
                 checks = []
                 for u, nbrs in enumerate(tnbrs):
-                    assert [u2 for u2, _ in nbrs] == sorted(
-                        u2 for u2, _ in nbrs), (i, budget)
+                    assert [u2 for u2, _, _ in nbrs] == sorted(
+                        u2 for u2, _, _ in nbrs), (i, budget)
                     assert len(set(nbrs)) == len(nbrs), (i, budget)
-                    assert all(rows is not None and u2 != u
-                               for u2, rows in nbrs), (i, budget)
+                    assert all(masks is not None and u2 != u
+                               for u2, masks, _ in nbrs), (i, budget)
                     views = 0
                     for u2 in range(nt):
                         if u2 != u:
                             pairs = listed_rows(t, tnbrs, u, u2, symmetric)
-                            distinct = len({id(rows) for rows, _, _ in pairs})
+                            distinct = len({(id(masks), k)
+                                            for (masks, k), _, _ in pairs})
                             views += distinct
                             shared += distinct < len(pairs)
                             checks += pairs
                     assert len(nbrs) == views, (i, budget)
                     out, inn = tself[u]
                     if out is not None:
-                        assert (out is inn) == symmetric, (i, budget)
+                        assert (out[0] is inn[0]) == symmetric, (i, budget)
                     checks += [(out, t.edge(u, u), True),
                                (inn, t.edge(u, u), False)]
-                separate += sum(rows.masks.adj is w.inn
-                                for rows, _, _ in checks if rows is not None)
-                for rows, req, out in checks:
-                    if rows is None:
+                separate += sum(pair[0].adj is w.inn
+                                for pair, _, _ in checks if pair is not None)
+                for pair, req, out in checks:
+                    if pair is None:
                         assert req is None
                         continue
+                    masks, k = pair
                     want = per_arc_rows(w, req, out)
                     for c in range(n):
-                        assert rows.union([c]) == want[c], (i, budget)
-                        assert rows[c] == want[c], (i, budget)
+                        assert masks.union(k, [c]) == want[c], (i, budget)
+                        assert masks[c][k] == want[c], (i, budget)
                     cs = rng.sample(range(n), rng.randint(2, n))
                     expect = 0
                     for c in cs:
                         expect |= want[c]
-                    assert rows.union(cs) == expect, (i, budget)
+                    assert masks.union(k, cs) == expect, (i, budget)
         assert shared >= 30 and separate >= 30
 
     @pytest.mark.parametrize("reverse", ["other tuple", "missing"])
@@ -251,7 +258,7 @@ class TestSupportRows:
         # An undirected template edge in a world that is symmetric but for
         # the arc 3 -> 0: its reverse carries another tuple, or is missing.
         # The out- and in-rows of vertex 3 then differ, so each direction
-        # keeps its own view, filled from its own table.
+        # keeps its own table.
         t = MultiplexGraph(2, 2)
         t.add_edge(0, 1, 1)
         t.add_edge(1, 0, 1)
@@ -264,12 +271,14 @@ class TestSupportRows:
             w.add_edge(0, 3, 2)
         tnbrs, _ = _support_masks(t, w)
         for u, u2 in ((0, 1), (1, 0)):
-            (v, out), (v2, inn) = tnbrs[u]
+            (v, out, i), (v2, inn, j) = tnbrs[u]
             assert v == v2 == u2 and out is not inn
-            assert out.masks.adj is w.out and inn.masks.adj is w.inn
-            assert [out[c] for c in range(4)] == per_arc_rows(w, (1, 0), True)
-            assert [inn[c] for c in range(4)] == per_arc_rows(w, (1, 0), False)
-            assert out[3] != inn[3]
+            assert out.adj is w.out and inn.adj is w.inn
+            assert [out[c][i] for c in range(4)] == per_arc_rows(w, (1, 0),
+                                                                 True)
+            assert [inn[c][j] for c in range(4)] == per_arc_rows(w, (1, 0),
+                                                                 False)
+            assert out[3][i] != inn[3][j]
 
     def test_union_switches_to_buffer_where_budget_runs_out(
             self, monkeypatch):
@@ -287,17 +296,17 @@ class TestSupportRows:
             return missing(self, c)
         monkeypatch.setattr(search._Masks, "__missing__", counted)
         monkeypatch.setattr(search, "_ROW_BYTES", 20000)
-        rows = _support_masks(t, w)[0][0][0][1]
+        _, masks, i = _support_masks(t, w)[0][0][0]
         cs = list(range(400))
         want = 0
         for c in cs:
             want |= sum(1 << c2 for c2 in w.out[c])
-        assert rows.union(cs) == want
-        kept = len(rows.masks)
+        assert masks.union(i, cs) == want
+        kept = len(masks)
         assert 0 < kept < 400 and built[0] == kept + 1
-        assert rows.masks.budget == [0]
-        assert rows.union(cs[::-1]) == want and built[0] == kept + 1
-        assert all(rows[c] == sum(1 << c2 for c2 in w.out[c]) for c in cs)
+        assert masks.budget == [0]
+        assert masks.union(i, cs[::-1]) == want and built[0] == kept + 1
+        assert all(masks[c][i] == sum(1 << c2 for c2 in w.out[c]) for c in cs)
 
 
 class TestOneRead:
@@ -430,14 +439,14 @@ class TestPropagate:
         w = undirected(8, [(v, v + 1) for v in range(7)])
         tnbrs = _support_masks(t, w)[0]
         unions, decoded = [0], []
-        union = search._Rows.union
-        def counted_union(self, cs, deadline=None):
+        union = search._Masks.union
+        def counted_union(self, i, cs, deadline=math.inf):
             unions[0] += 1
-            return union(self, cs, deadline)
+            return union(self, i, cs, deadline)
         def bits(d):
             decoded.append(d)
             return _bits(d)
-        monkeypatch.setattr(search._Rows, "union", counted_union)
+        monkeypatch.setattr(search._Masks, "union", counted_union)
         monkeypatch.setattr(search, "_bits", bits)
         start = [1 << 0, 0xFF & ~(1 << 1)] + [0xFF] * (k - 1)
         jc = list(start)
@@ -472,7 +481,7 @@ class TestPropagate:
             self, monkeypatch):
         # A 3-star whose matched centre has one candidate ``c``. Within the
         # budget, its leaves read c's memoised entry, built once. Once the
-        # budget is spent, each row view of the centre takes one union,
+        # budget is spent, each row table of the centre takes one union,
         # which reads c's arcs into the buffer and builds no entry.
         w = sparse_multiplex_graph(random.Random(5), 400, 1200)
         t = Graph(4)
@@ -482,21 +491,21 @@ class TestPropagate:
         c = max(range(400), key=lambda v: len(w.out[v]))
         nbrs = sum(1 << c2 for c2 in w.out[c])
         built, unions = [0], [0]
-        missing, union = search._Masks.__missing__, search._Rows.union
+        missing, union = search._Masks.__missing__, search._Masks.union
         def counted_missing(self, v):
             built[0] += 1
             return missing(self, v)
-        def counted_union(self, cs, deadline=None):
+        def counted_union(self, i, cs, deadline=math.inf):
             unions[0] += 1
-            return union(self, cs, deadline)
+            return union(self, i, cs, deadline)
         monkeypatch.setattr(search._Masks, "__missing__", counted_missing)
-        monkeypatch.setattr(search._Rows, "union", counted_union)
+        monkeypatch.setattr(search._Masks, "union", counted_union)
         for budget, want_built, want_unions in ((search._ROW_BYTES, 1, 0),
                                                 (0, 0, None)):
             monkeypatch.setattr(search, "_ROW_BYTES", budget)
             built[0] = unions[0] = 0
             tnbrs = _support_masks(t, w)[0]
-            views = len({id(rows) for _, rows in tnbrs[0]})
+            views = len({(id(masks), i) for _, masks, i in tnbrs[0]})
             jc = [1 << c] + [(1 << 400) - 1] * 3
             _propagate(tnbrs, jc, [0], matched={0: c})
             assert jc == [1 << c] + [nbrs] * 3, budget
@@ -592,11 +601,11 @@ class TestPropagate:
             world.add_edge(a, b)
             world.add_edge(b, a)
         rows = [0]
-        union = search._Rows.union
-        def counted(self, cs, deadline=None):
+        union = search._Masks.union
+        def counted(self, i, cs, deadline=math.inf):
             rows[0] += len(cs)
-            return union(self, cs, deadline)
-        monkeypatch.setattr(search._Rows, "union", counted)
+            return union(self, i, cs, deadline)
+        monkeypatch.setattr(search._Masks, "union", counted)
         for cycle in (3, 4):
             t = Graph(cycle)
             for v in range(cycle):
@@ -841,22 +850,27 @@ class TestCellPartitions:
     def test_nc_reads_no_row_once_cover_is_matched(self, monkeypatch):
         # A vertex outside the node cover has only cover neighbours and no
         # self-loop, so once the cover is matched NC splits its cells by
-        # domains alone: its refinement reads no support row.
-        reads, after = [0], []
-        getitem, fe_cells = search._Rows.__getitem__, _Searcher._fe_cells
+        # domains alone: its refinement reads no support row. Only the
+        # refinement's reads of a memo entry are counted, not the
+        # revisions'.
+        reads, after, refining = [0], [], [False]
+        getitem, fe_cells = search._Masks.__getitem__, _Searcher._fe_cells
 
         def counted(self, c):
-            reads[0] += 1
+            reads[0] += refining[0]
             return getitem(self, c)
 
         def refined(self, u, jc, vertices=None):
-            before = reads[0]
-            cells = fe_cells(self, u, jc, vertices)
+            before, refining[0] = reads[0], True
+            try:
+                cells = fe_cells(self, u, jc, vertices)
+            finally:
+                refining[0] = False
             if self.cover <= self.assigned.keys():
                 after.append(reads[0] - before)
             return cells
 
-        monkeypatch.setattr(search._Rows, "__getitem__", counted)
+        monkeypatch.setattr(search._Masks, "__getitem__", counted)
         monkeypatch.setattr(_Searcher, "_fe_cells", refined)
         p = cover_problem()
         report, _ = solve(p, Mode.NC)
@@ -967,6 +981,28 @@ class TestDegenerateInputs:
         assert (report.status, report.total) == ("completed", 18)
 
 
+CELL_PEAK = """
+import json, random, sys, tracemalloc
+from eqmatch.graphs import Graph, Problem
+from eqmatch.search import solve
+
+def undirected(n, pairs):
+    g = Graph(n)
+    for a, b in pairs:
+        g.add_edge(a, b)
+        g.add_edge(b, a)
+    return g
+
+rng, n = random.Random(5000), 5000
+world = undirected(n, [rng.sample(range(n), 2) for _ in range(3 * n)])
+problem = Problem(undirected(3, [(0, 1), (1, 2), (0, 2)]), world)
+tracemalloc.start()
+report, _ = solve(problem, sys.argv[1], collect=False)
+peak = tracemalloc.get_traced_memory()[1]
+print(json.dumps([peak, report.status, report.total]))
+"""  # one mode's traced peak, status and total, in its own interpreter
+
+
 class TestLimits:
     def test_timeout_is_honored(self):
         p = star_problem(8, 22)
@@ -1048,20 +1084,22 @@ class TestLimits:
     def test_cell_memory_near_ne(self):
         # FE, CE and NC refine a cell by one support row at a time, so a
         # triangle in a sparse undirected 5000-vertex world, run to
-        # completion, peaks within twice NE's traced allocations.
-        rng, n = random.Random(5000), 5000
-        world = undirected(n, [rng.sample(range(n), 2) for _ in range(3 * n)])
-        problem = Problem(undirected(3, [(0, 1), (1, 2), (0, 2)]), world)
+        # completion, peaks within twice NE's traced allocations. Each
+        # mode runs in a fresh interpreter, so that no allocation left by
+        # an earlier test or mode moves its peak.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            search.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
         peaks, totals = {}, set()
         for mode in (Mode.NE, Mode.FE, Mode.CE, Mode.NC):
-            tracemalloc.start()
-            try:
-                report, _ = solve(problem, mode, collect=False)
-                peaks[mode] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert report.status == "completed", mode
-            totals.add(report.total)
+            run = subprocess.run([sys.executable, "-c", CELL_PEAK, mode.value],
+                                 env=env, capture_output=True, text=True,
+                                 timeout=300)
+            assert run.returncode == 0, run.stderr
+            peaks[mode], status, total = json.loads(run.stdout)
+            assert status == "completed", mode
+            totals.add(total)
         assert len(totals) == 1
         assert all(peaks[m] <= 2 * peaks[Mode.NE]
                    for m in (Mode.FE, Mode.CE, Mode.NC)), peaks
