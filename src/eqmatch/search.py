@@ -102,14 +102,28 @@ One refinement, ``_fe_cells``, builds every builder's cells from
 cell by ``jc[u']``, refines the pieces inside by one support row of
 ``u'`` at a time, and last by the layer of its self-loop, if any:
 refining by one coordinate at a time groups as the whole tuple would. A
-matched neighbour's row is skipped, since arc consistency keeps only
-candidates adjacent to its image. FE refines by every unmatched vertex,
-CE by the branching vertex alone, a cell being blocked when it meets the
-other unmatched domains. Once the node cover is matched, every unmatched
-vertex has only matched neighbours and no self-loop, so it splits cells
-by its domain and reads no row: FE is then the membership-vector grouping
-of node-cover equivalence. A branch's representative is the lowest free
-bit of its cell, and its multiplier the number of the cell's unused bits.
+``jc[u']`` that holds all of the branching domain or none of it splits
+nothing, and one AND on the domain skips the split: in the first case
+every cell lies inside and is still refined by the rows and the layer, in
+the second there is nothing to refine. A matched neighbour's row is
+skipped, since arc consistency keeps only candidates adjacent to its
+image. FE refines by every unmatched vertex, CE by the branching vertex
+alone, a cell being blocked when it meets the other unmatched domains.
+Once the node cover is matched, every unmatched vertex has only matched
+neighbours and no self-loop, so it splits cells by its domain and reads
+no row: FE is then the membership-vector grouping of node-cover
+equivalence. A branch's representative is the lowest free bit of its
+cell, and its multiplier the number of the cell's unused bits.
+
+A cell's members are decoded by ``_bits``, which peels up to ``_PEEL``
+bits one at a time and reads more from one O(width) string. A cell of
+more than ``_PEEL`` free members is decoded once per search path: each
+node keeps the member tuples of its wide cells in a memo for its depth,
+and its children read that memo before decoding, so the slots of one
+path (and their expansions) share one tuple for an unchanged wide cell.
+The memos hold O(depth x cells per node) entries. A narrower cell is
+decoded where it is met, with no hash: hashing a world-wide int costs
+more than peeling a few bits.
 """
 
 from __future__ import annotations
@@ -150,7 +164,8 @@ class Slot(NamedTuple):
     interchange template vertices, otherwise the singleton ``(vertex,)``.
     ``members`` is the world interchange class at assignment time (including
     members already used by earlier slots); ``multiplier`` counts the
-    members that were still available.
+    members that were still available. Slots of one search path with equal
+    members may hold one tuple object.
     """
 
     template_vertex: int
@@ -208,6 +223,9 @@ class SearchReport:
 
 _ONE = re.compile("1")
 _FLAGS = bytes.maketrans(b"01", b"\0\1")
+# The most bits ``_bits`` peels off one at a time; a wider set costs one
+# O(width) string, so ``_generate`` keeps a wider cell's members per path.
+_PEEL = 16
 
 
 def _mask(cells) -> int:
@@ -220,12 +238,13 @@ def _mask(cells) -> int:
 
 
 def _bits(d: int) -> list[int]:
-    """The world vertices in bitset ``d``, ascending. A few are peeled off
-    lowest first; more are read from one O(width) binary string: a dense
-    set by translating it to 0/1 bytes that select from the positions, a
-    sparse one (density 1/8 or below) by matching its ones."""
+    """The world vertices in bitset ``d``, ascending. Up to ``_PEEL`` are
+    peeled off lowest first; more are read from one O(width) binary
+    string: a dense set by translating it to 0/1 bytes that select from
+    the positions, a sparse one (density 1/8 or below) by matching its
+    ones."""
     n = d.bit_count()
-    if n > 16:
+    if n > _PEEL:
         width = d.bit_length()
         if n * 8 > width:
             return list(compress(range(width),
@@ -474,6 +493,9 @@ class _Searcher:
         self.assigned: dict[int, int] = {}
         self.used = 0  # bitset of the assigned images
         self.slots: list[Slot] = []
+        # ``wide[k + 1]``: the members of each cell of more than ``_PEEL``
+        # free members built at the node of depth ``k`` on the current path.
+        self.wide: list[dict[int, tuple[int, ...]]] = [{}]
 
     # -- dynamic equivalence ----------------------------------------------
 
@@ -504,7 +526,10 @@ class _Searcher:
         the pieces inside it by one support row of ``u'`` at a time, then by
         the layer of its self-loop, if any.
 
-        A matched neighbour's row is skipped: arc consistency leaves its
+        A ``jc[u']`` that holds all of ``jc[u]`` or none of it splits
+        nothing, so the split is skipped: in the first case every cell lies
+        inside and is refined as usual, in the second nothing is refined. A
+        matched neighbour's row is skipped: arc consistency leaves its
         image in that row for every candidate of ``u'``."""
         domain, assigned = jc[u], self.assigned
         cells, size = [domain], domain.bit_count()
@@ -514,8 +539,14 @@ class _Searcher:
             if uprime in assigned:
                 continue
             d = jc[uprime]
-            inside = [piece for cell in cells if (piece := cell & d)]
-            cells = [piece for cell in cells if (piece := cell & ~d)]
+            hit = domain & d
+            if not hit:  # no cell meets it: nothing to split or refine
+                continue
+            if hit == domain:  # every cell lies inside it
+                inside, cells = cells, []
+            else:
+                inside = [piece for cell in cells if (piece := cell & d)]
+                cells = [piece for cell in cells if (piece := cell & ~d)]
             for u2, masks, i in self.tnbrs[uprime]:
                 if u2 not in assigned:
                     d2 = jc[u2]
@@ -540,7 +571,13 @@ class _Searcher:
 
     def _generate(self, u: int, jc: list[int]):
         """Entries (representative, members, multiplier) for branching on
-        ``u``, by ascending representative: the lowest free candidate."""
+        ``u``, by ascending representative: the lowest free candidate.
+
+        A cell of more than ``_PEEL`` free members takes its members from
+        the parent node's memo when the parent built the same cell, else
+        decodes them, and enters them in this node's memo, ``wide[depth +
+        1]``, which replaces the memos of the deeper nodes of the last
+        path. A narrower cell is decoded without a hash."""
         used = self.used
         free = jc[u] & ~used
         if not free:  # every candidate used: no entry
@@ -557,12 +594,22 @@ class _Searcher:
                                   len(members) - sum(used >> m & 1
                                                      for m in members))
             return list(entries.values())
-        entries = []
+        entries, wide = [], self.wide
+        depth = len(self.assigned)
+        above, here = wide[depth], {}
         for cell in self.cells(self, u, jc):
             avail = cell & free
             if avail:
-                entries.append(((avail & -avail).bit_length() - 1,
-                                tuple(_bits(cell)), (cell & ~used).bit_count()))
+                mult = avail.bit_count()
+                if mult > _PEEL:
+                    members = here[cell] = (above.get(cell)
+                                            or tuple(_bits(cell)))
+                else:
+                    members = tuple(_bits(cell))
+                entries.append(((avail & -avail).bit_length() - 1, members,
+                                mult))
+        del wide[depth + 1:]
+        wide.append(here)
         entries.sort()
         return entries
 
@@ -815,14 +862,20 @@ def expand_solution_class(sc: SolutionClass):
     built every later cell given the representative's image ``r``, so
     taking ``c`` from the vertex's own cell instead composes the world swap
     ``(r c)``, and later cells are read through the swaps made so far.
+    Each distinct (template class, members) pair is numbered once, and
+    the quotas are a list indexed by that number, so a choice hashes no
+    members tuple.
     """
     slots = sc.slots
-    quota: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    for s in slots:
-        key = (s.template_class, s.members)
-        quota[key] = quota.get(key, 0) + 1
-    options = [[(key, key[1] == s.members) for key in quota
-                if key[0] == s.template_class] for s in slots]
+    number: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    own = [number.setdefault((s.template_class, s.members), len(number))
+           for s in slots]
+    quota = [0] * len(number)
+    for k in own:
+        quota[k] += 1
+    # Slot i's options: (number, members, whether it is its own cell).
+    options = [[(k, key[1], k == own[i]) for key, k in number.items()
+                if key[0] == s.template_class] for i, s in enumerate(slots)]
     image: dict[int, int] = {}   # representative's world -> current world
     source: dict[int, int] = {}  # the inverse; both default to the identity
     taken: set[int] = set()
@@ -841,23 +894,23 @@ def expand_solution_class(sc: SolutionClass):
         s = slots[i]
         if i == last:  # no later slot reads its swap or its mark
             v = s.template_vertex
-            for key, _ in options[i]:
-                if quota[key]:
-                    for c in map(image.get, key[1], key[1]):
+            for k, members, _ in options[i]:
+                if quota[k]:
+                    for c in map(image.get, members, members):
                         if c not in taken:
                             mapping[v] = c
                             yield dict(mapping)
             return
         r = image.get(s.world_vertex, s.world_vertex)
-        for key, own in options[i]:
-            if not quota[key]:
+        for k, members, mine in options[i]:
+            if not quota[k]:
                 continue
-            quota[key] -= 1
-            for m in key[1]:
+            quota[k] -= 1
+            for m in members:
                 c = image.get(m, m)
                 if c in taken:
                     continue
-                moved = own and c != r
+                moved = mine and c != r
                 if moved:
                     swap(r, c)
                 taken.add(c)
@@ -866,7 +919,7 @@ def expand_solution_class(sc: SolutionClass):
                 taken.discard(c)
                 if moved:
                     swap(r, c)
-            quota[key] += 1
+            quota[k] += 1
 
     if not slots:
         yield {}

@@ -827,13 +827,15 @@ class TestCellPartitions:
         # Every unmatched vertex's cells equal the per-candidate grouping,
         # as sets of sets. In a 4-cycle in K3,3 and K3,4, the open twins 0
         # and 2 keep unmatched neighbours and equal domains, so the
-        # refinement by one repeats the other's.
+        # refinement by one repeats the other's. FE skips the split by an
+        # unmatched domain that holds all of the branching domain (its rows
+        # still refine) or none of it: both cases are reached.
         cycle = undirected(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         problems = [*builder_problems(rng), *(
             Problem(cycle, undirected(3 + k, [(a, b) for a in range(3)
                                               for b in range(3, 3 + k)]))
             for k in (3, 4))]
-        split = 0
+        split = held = missed = 0
         for i, _, mode, searcher, prefix, jc in builder_nodes(
                 problems, (Mode.FE, Mode.NC, Mode.CE)):
             domains = [set(_bits(d)) for d in jc]
@@ -845,7 +847,25 @@ class TestCellPartitions:
                     searcher, mode, u, domains, unmatched), \
                     (i, mode, prefix, u)
                 split += len(domains[u]) - len(got)
-        assert split > 0
+                if mode is Mode.FE:
+                    for v in unmatched:
+                        if v != u:
+                            held += domains[u] <= domains[v]
+                            missed += not domains[u] & domains[v]
+        assert split > 0 and held > 0 and missed > 0
+
+    @pytest.mark.parametrize("mode", [Mode.FE, Mode.NC])
+    def test_wide_cell_decoded_once_per_path(self, mode):
+        # Every leaf of the template star branches on the one cell of the
+        # 30 world leaves, more than 16 free members at every level: the
+        # cell is decoded once per search path, so the eight leaf slots of
+        # a class hold one members tuple.
+        _, classes = solve(star_problem(8, 30), mode)
+        assert classes
+        for sc in classes:
+            leaves = [s.members for s in sc.slots if len(s.members) == 30]
+            assert len(leaves) == 8
+            assert all(members is leaves[0] for members in leaves)
 
     def test_nc_reads_no_row_once_cover_is_matched(self, monkeypatch):
         # A vertex outside the node cover has only cover neighbours and no
